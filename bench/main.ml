@@ -828,13 +828,16 @@ let run_perf_gemm ?(smoke = false) () =
       match List.assoc_opt name totals with Some (_, _, s) -> s | None -> 0.0
     in
     let pack_a = tot "gemm.pack_a" and pack_b = tot "gemm.pack_b" in
+    let c_block = tot "gemm.c_block" in
     let other =
       Float.max 0.0
-        (tot "gemm.blis_ba" -. pack_a -. pack_b -. tot "gemm.macro_kernel")
+        (tot "gemm.blis_ba" -. pack_a -. pack_b -. c_block
+       -. tot "gemm.macro_kernel")
     in
     [
       ("pack_a", pack_a);
       ("pack_b", pack_b);
+      ("c_block", c_block);
       ("macro", self "gemm.macro_kernel");
       ("ukr", tot "gemm.ukr");
       ("other", other);

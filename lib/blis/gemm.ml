@@ -8,13 +8,16 @@
     reference kernel, or anything else — mirroring how the paper swaps
     micro-kernels under one ALG+ implementation.
 
-    The executable path is built for paper-scale runs: pack buffers and the
-    C tile live in a per-domain {!workspace} arena (no allocation steady
-    state), the C-tile gather/scatter is fused over unsafe accesses behind
-    one up-front bounds check, and the jc loop — disjoint C column blocks —
-    fans out on an {!Exo_par.Pool}, bit-identical at every pool width
-    because each task touches only its own columns and runs the same
-    per-column operation sequence. *)
+    The executable paths are built for paper-scale runs: pack buffers and
+    C scratch live in a per-domain {!workspace} arena (no allocation steady
+    state), C is moved over unsafe accesses behind one up-front bounds
+    check, and disjoint C blocks fan out on an {!Exo_par.Pool},
+    bit-identical at every pool width because each task touches only its
+    own block and runs the same per-element operation sequence. The
+    Bigarray tier {!blis_ba} keeps each task's C block resident in the
+    arena as kernel-layout f32 tiles across the whole k loop, moving C
+    once in and once out; the [float array] tier {!blis} still copies each
+    tile in and out around every kernel call. *)
 
 module Obs = Exo_obs.Obs
 module Pool = Exo_par.Pool
@@ -90,9 +93,10 @@ type ukr_ba = Exo_interp.Compile.ukr_ba
 
 let ba_empty () : ba32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 0
 
-(** Per-domain scratch: one pack arena per operand plus the C tile — in
-    both float-array form (the flat-tape tier) and float32-Bigarray form
-    (the monomorphized tier) — grown monotonically (next power of two) and
+(** Per-domain scratch: one pack arena per operand plus C scratch — in
+    both float-array form (the flat-tape tier: one C tile) and
+    float32-Bigarray form (the monomorphized tier: one task's whole C
+    block, tile-packed) — grown monotonically (next power of two) and
     reused across GEMMs. Per-domain because pool tasks on different
     domains pack concurrently. *)
 type arena = {
@@ -293,13 +297,20 @@ let blis ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
 (* The monomorphized Bigarray tier                                     *)
 
 (** The BLIS-like GEMM over the monomorphized kernel table: same five-loop
-    blocking as {!blis} with packed panels and the C tile in float32
-    Bigarrays, per-tile dispatch by O(1) array indexing into the table
-    [kernels ()] returns, and BOTH the jc and ic loops fanned out as one
-    task grid — each task owns the disjoint C block (rows ic·mc .., cols
-    jc·nc ..), so small-n problems where jc alone yields a single task
-    still scale across the pool, and the output stays bit-identical at
-    every width.
+    blocking as {!blis} with packed panels in float32 Bigarrays, per-tile
+    dispatch by O(1) array indexing into the table [kernels ()] returns,
+    and BOTH the jc and ic loops fanned out as one task grid — each task
+    owns the disjoint C block (rows ic·mc .., cols jc·nc ..), so small-n
+    problems where jc alone yields a single task still scale across the
+    pool, and the output stays bit-identical at every width.
+
+    Each task keeps its C block resident across the whole pc loop, as the
+    paper's micro-kernel updates its tile of C in place: the block is read
+    once (β folded in) into the per-domain arena as kernel-layout tiles,
+    every pc block's kernel calls accumulate into those tiles, and the
+    block is written back once after the last pc block. After the read
+    every element is an f32 and f32→f64→f32 is the identity, so this is
+    bit-identical to a per-pc gather/scatter of each tile.
 
     [kernels] is called once per task ON THE EXECUTING DOMAIN and must
     return a table of at least mr·nr entries, entry [(mr'-1)·nr + nr'-1]
@@ -322,10 +333,18 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
   if mc < mr || nc < nr || kc < 1 then
     invalid_arg "Gemm.blis_ba: degenerate blocking";
   let pool = match pool with Some p -> p | None -> Pool.global () in
-  let r32 v = Int32.float_of_bits (Int32.bits_of_float v) in
   let ldc = c.Matrix.cols and cdata = c.Matrix.data in
   let a_size = Packing.a_arena_size ~mcb:(min mc m) ~kcb:(min kc k) ~mr in
   let b_size = Packing.b_arena_size ~ncb:(min nc n) ~kcb:(min kc k) ~nr in
+  (* the resident C block: tile (ir, jr) at a fixed pitch of mr·nr *)
+  let pitch = mr * nr in
+  let c_size =
+    ((min mc m + mr - 1) / mr) * ((min nc n + nr - 1) / nr) * pitch
+  in
+  let unit_beta = Float.equal beta 1.0 in
+  (* with k = 0 and β = 1 C is left bitwise untouched: the block round
+     trip would round values that are not representable in f32 *)
+  let resident = k > 0 || not unit_beta in
   let n_jc = (n + nc - 1) / nc and n_ic = (m + mc - 1) / mc in
   let sp_blis =
     if Obs.enabled () then
@@ -349,20 +368,44 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
     let ar = Domain.DLS.get ws in
     ar.awb <- grown_ba ar.awb a_size;
     ar.bwb <- grown_ba ar.bwb b_size;
-    ar.twb <- grown_ba ar.twb (mr * nr);
-    let tile = ar.twb in
+    ar.twb <- grown_ba ar.twb c_size;
+    let blk = ar.twb in
     let jc0 = jc * nc and ic0 = ic * mc in
     let ncb = min nc (n - jc0) and mcb = min mc (m - ic0) in
-    (* beta scaling of this task's own C block: every write of the task
-       stays inside rows ic0 .. ic0+mcb-1 × cols jc0 .. jc0+ncb-1, which
-       is what keeps the two-axis fan-out deterministic *)
-    if not (Float.equal beta 1.0) then
-      for i = ic0 to ic0 + mcb - 1 do
-        let rb = (i * ldc) + jc0 in
-        for j = 0 to ncb - 1 do
-          cdata.(rb + j) <- r32 (beta *. cdata.(rb + j))
+    let npa = (mcb + mr - 1) / mr and npb = (ncb + nr - 1) / nr in
+    (* every C access of the task stays inside rows ic0 .. ic0+mcb-1 ×
+       cols jc0 .. jc0+ncb-1 (the block it owns), which is what keeps the
+       two-axis fan-out deterministic. Both block passes walk ir strips,
+       then jr tiles, then rows, with a row's columns contiguous
+       innermost; unsafe behind the storage check at entry (every C index
+       is ≤ (m-1)·ldc + n-1 < m·n) and the arena sizing above. *)
+    if resident then begin
+      (* read once: β folded in, the f32 rounding is the Bigarray store *)
+      let sp =
+        if Obs.enabled () then
+          Obs.begin_span
+            ~args:[ ("jc", string_of_int jc); ("ic", string_of_int ic) ]
+            "gemm.c_block"
+        else Obs.none
+      in
+      for ir = 0 to npa - 1 do
+        let mrb = min mr (mcb - (ir * mr)) in
+        for jr = 0 to npb - 1 do
+          let nrb = min nr (ncb - (jr * nr)) in
+          let off = ((ir * npb) + jr) * pitch in
+          for i = 0 to mrb - 1 do
+            let rb = ((ic0 + (ir * mr) + i) * ldc) + jc0 + (jr * nr) in
+            for j = 0 to nrb - 1 do
+              let v = Array.unsafe_get cdata (rb + j) in
+              Bigarray.Array1.unsafe_set blk
+                (off + (j * mrb) + i)
+                (if unit_beta then v else beta *. v)
+            done
+          done
         done
       done;
+      Obs.end_span sp
+    end;
     for pc = 0 to ((k + kc - 1) / kc) - 1 do
       let pc0 = pc * kc in
       let kcb = min kc (k - pc0) in
@@ -409,42 +452,52 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
         else Obs.none
       in
       let adata = ap.Packing.data and bdata = bp.Packing.data in
-      for jr = 0 to bp.Packing.num_panels - 1 do
+      for jr = 0 to npb - 1 do
         let nrb = Packing.panel_width bp jr in
         let bo = Packing.panel_off bp jr in
-        for ir = 0 to ap.Packing.num_panels - 1 do
+        for ir = 0 to npa - 1 do
           let mrb = Packing.panel_width ap ir in
           let ao = Packing.panel_off ap ir in
-          (* fused gather/scatter of the transposed C tile, as in [blis];
-             the f32 rounding of each C element is the Bigarray store *)
-          let cbase = ((ic0 + (ir * mr)) * ldc) + jc0 + (jr * nr) in
-          for j = 0 to nrb - 1 do
-            for i = 0 to mrb - 1 do
-              Bigarray.Array1.unsafe_set tile
-                ((j * mrb) + i)
-                (Array.unsafe_get cdata (cbase + (i * ldc) + j))
-            done
-          done;
           (* O(1) dispatch: plain array indexing, in range because
              1 <= mrb <= mr, 1 <= nrb <= nr and the table length was
-             checked at task entry *)
+             checked at task entry; the kernel accumulates in place into
+             the tile's resident slot *)
           let sp_ukr =
             if Obs.enabled () then Obs.begin_span "gemm.ukr" else Obs.none
           in
           (Array.unsafe_get tbl (((mrb - 1) * nr) + nrb - 1))
-            ~kc:kcb ~ac:adata ~ao ~bc:bdata ~bo ~c:tile ~co:0;
-          Obs.end_span sp_ukr;
-          for j = 0 to nrb - 1 do
-            for i = 0 to mrb - 1 do
-              Array.unsafe_set cdata
-                (cbase + (i * ldc) + j)
-                (Bigarray.Array1.unsafe_get tile ((j * mrb) + i))
+            ~kc:kcb ~ac:adata ~ao ~bc:bdata ~bo ~c:blk
+            ~co:(((ir * npb) + jr) * pitch);
+          Obs.end_span sp_ukr
+        done
+      done;
+      Obs.end_span sp_macro
+    done;
+    if resident then begin
+      (* write once, after the last pc block *)
+      let sp =
+        if Obs.enabled () then
+          Obs.begin_span
+            ~args:[ ("jc", string_of_int jc); ("ic", string_of_int ic) ]
+            "gemm.c_block"
+        else Obs.none
+      in
+      for ir = 0 to npa - 1 do
+        let mrb = min mr (mcb - (ir * mr)) in
+        for jr = 0 to npb - 1 do
+          let nrb = min nr (ncb - (jr * nr)) in
+          let off = ((ir * npb) + jr) * pitch in
+          for i = 0 to mrb - 1 do
+            let rb = ((ic0 + (ir * mr) + i) * ldc) + jc0 + (jr * nr) in
+            for j = 0 to nrb - 1 do
+              Array.unsafe_set cdata (rb + j)
+                (Bigarray.Array1.unsafe_get blk (off + (j * mrb) + i))
             done
           done
         done
       done;
-      Obs.end_span sp_macro
-    done
+      Obs.end_span sp
+    end
   in
   Pool.iter pool task (List.init (n_jc * n_ic) Fun.id);
   Obs.end_span sp_blis

@@ -350,6 +350,127 @@ let test_gemm_batch_ba () =
       Alcotest.(check bool) "batch_ba layer exact" true (M.equal c c_ref))
     probs
 
+(* --- the resident C block of blis_ba -------------------------------------- *)
+
+(* The per-pc gather/scatter driver [blis_ba] replaced, serial, over the
+   same kernel table: every tile is copied out of C into an f32 scratch
+   tile and back around each kernel call of each pc block. *)
+let per_pc_reference ~alpha ~beta ~(blocking : A.blocking) ~mr ~nr
+    ~(tbl : G.ukr_ba array) (a : M.t) (b : M.t) (c : M.t) =
+  let m = a.M.rows and k = a.M.cols and n = b.M.cols in
+  let { A.mc; kc; nc } = blocking in
+  let r32 v = Int32.float_of_bits (Int32.bits_of_float v) in
+  let ba n = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout (max 1 n) in
+  let aw = ba (P.a_arena_size ~mcb:mc ~kcb:kc ~mr)
+  and bw = ba (P.b_arena_size ~ncb:nc ~kcb:kc ~nr)
+  and tile = ba (mr * nr) in
+  if not (Float.equal beta 1.0) then
+    Array.iteri (fun i v -> c.M.data.(i) <- r32 (beta *. v)) c.M.data;
+  for pc = 0 to ((k + kc - 1) / kc) - 1 do
+    let pc0 = pc * kc in
+    let kcb = min kc (k - pc0) in
+    for jc = 0 to ((n + nc - 1) / nc) - 1 do
+      let jc0 = jc * nc in
+      let bp = P.pack_b_ba_into ~alpha bw b ~pc:pc0 ~jc:jc0 ~kcb ~ncb:(min nc (n - jc0)) ~nr in
+      for ic = 0 to ((m + mc - 1) / mc) - 1 do
+        let ic0 = ic * mc in
+        let ap = P.pack_a_ba_into aw a ~ic:ic0 ~pc:pc0 ~mcb:(min mc (m - ic0)) ~kcb ~mr in
+        for jr = 0 to bp.P.num_panels - 1 do
+          for ir = 0 to ap.P.num_panels - 1 do
+            let mrb = P.panel_width ap ir and nrb = P.panel_width bp jr in
+            let i0 = ic0 + (ir * mr) and j0 = jc0 + (jr * nr) in
+            for j = 0 to nrb - 1 do
+              for i = 0 to mrb - 1 do
+                Bigarray.Array1.set tile ((j * mrb) + i) (M.get c (i0 + i) (j0 + j))
+              done
+            done;
+            tbl.(((mrb - 1) * nr) + nrb - 1)
+              ~kc:kcb ~ac:ap.P.data ~ao:(P.panel_off ap ir) ~bc:bp.P.data
+              ~bo:(P.panel_off bp jr) ~c:tile ~co:0;
+            for j = 0 to nrb - 1 do
+              for i = 0 to mrb - 1 do
+                M.set c (i0 + i) (j0 + j) (Bigarray.Array1.get tile ((j * mrb) + i))
+              done
+            done
+          done
+        done
+      done
+    done
+  done
+
+let bits_equal (x : M.t) (y : M.t) =
+  x.M.rows = y.M.rows && x.M.cols = y.M.cols
+  && Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       x.M.data y.M.data
+
+(* general f32 values in [-1, 1), not the integer probe domain *)
+let random_f32 rows cols st =
+  M.init rows cols (fun _ _ ->
+      Int32.float_of_bits (Int32.bits_of_float (Random.State.float st 2.0 -. 1.0)))
+
+(* the kernel tables under test: the Bigarray bank always, the serving
+   (native) bank too when this host's cc certified native entries *)
+let resident_tables ~mr ~nr =
+  let t = R.exo_table ~mr ~nr () in
+  ("bigarray", t.R.t_base)
+  :: (if t.R.t_native_info.R.ni_entries > 0 then [ ("native", t.R.t_entries) ]
+      else [])
+
+let test_blis_ba_resident_block_vs_per_pc () =
+  (* kc = 7 with a kc tail, fringe m and n, a 3 × 3 (jc × ic) task grid *)
+  let mr, nr = (8, 12) in
+  let blocking = { A.mc = 16; kc = 7; nc = 24 } in
+  let m, n = (37, 53) in
+  List.iter
+    (fun (tname, tbl) ->
+      List.iter
+        (fun k ->
+          let st = Random.State.make [| 41; k |] in
+          let a = random_f32 m k st and b = random_f32 k n st in
+          let c0 = random_f32 m n st in
+          List.iter
+            (fun beta ->
+              let c_ref = M.copy c0 in
+              per_pc_reference ~alpha:(-0.75) ~beta ~blocking ~mr ~nr ~tbl a b c_ref;
+              List.iter
+                (fun jobs ->
+                  let c = M.copy c0 in
+                  G.blis_ba ~alpha:(-0.75) ~beta
+                    ~pool:(Exo_par.Pool.create ~jobs ())
+                    ~blocking ~mr ~nr ~kernels:(fun () -> tbl) a b c;
+                  Alcotest.(check bool)
+                    (Fmt.str "%s k=%d beta=%g jobs=%d: bitwise = per-pc reference"
+                       tname k beta jobs)
+                    true (bits_equal c_ref c))
+                [ 1; 2 ])
+            [ 0.0; 0.5; 1.0 ])
+        [ 1; 7; 15; 23 ])
+    (resident_tables ~mr ~nr)
+
+let test_blis_ba_k0_semantics () =
+  (* k = 0: no pc block runs. β = 1 leaves C bitwise untouched, values
+     that f32 cannot represent included (no block round trip); any other
+     β gives r32(β·C) *)
+  let mr, nr = (8, 12) in
+  let m, n = (21, 29) in
+  let r32 v = Int32.float_of_bits (Int32.bits_of_float v) in
+  let c0 = M.init m n (fun i j -> 0.1 +. (float_of_int ((i * n) + j) /. 3.0)) in
+  let a = M.create m 0 and b = M.create 0 n in
+  List.iter
+    (fun (beta, jobs) ->
+      let c = M.copy c0 in
+      G.blis_ba ~beta ~pool:(Exo_par.Pool.create ~jobs ()) ~blocking:small_blocking
+        ~mr ~nr ~kernels:(R.exo_bank ~mr ~nr ()) a b c;
+      let want =
+        if Float.equal beta 1.0 then c0
+        else { c0 with M.data = Array.map (fun v -> r32 (beta *. v)) c0.M.data }
+      in
+      Alcotest.(check bool)
+        (Fmt.str "k=0 beta=%g jobs=%d" beta jobs)
+        true (bits_equal want c))
+    [ (1.0, 1); (1.0, 2); (0.5, 1); (0.5, 2); (0.0, 1); (-2.0, 2) ]
+
 let prop_blis_ba_cross_tier_all_kits =
   (* random shapes including m < mr, n < nr and k = 0, across every kit:
      the Bigarray tier, the flat-array tier and the closure engine agree
@@ -678,6 +799,10 @@ let () =
           Alcotest.test_case "bigarray tier (jc x ic) width invariance" `Quick
             test_blis_ba_pool_width_invariance;
           Alcotest.test_case "batch (bigarray tier)" `Quick test_gemm_batch_ba;
+          Alcotest.test_case "bigarray tier resident C block = per-pc reference"
+            `Quick test_blis_ba_resident_block_vs_per_pc;
+          Alcotest.test_case "bigarray tier k = 0 semantics" `Quick
+            test_blis_ba_k0_semantics;
         ]
         @ props );
       ( "driver",
