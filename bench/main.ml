@@ -9,9 +9,9 @@
      dune exec bench/main.exe -- perf-sim     # compressed vs element cache sim
                                               # + 1-vs-N-domain sweeps
                                               # (writes BENCH_sim.json)
-     dune exec bench/main.exe -- perf-gemm    # executable GEMM: specialized
-                                              # kernel tier, paper-scale GEMM,
-                                              # pool invariance, batched layers
+     dune exec bench/main.exe -- perf-gemm    # executable GEMM: kernel tiers,
+                                              # paper-scale GEMM, pool
+                                              # invariance, batched layers
                                               # (writes BENCH_gemm.json)
      dune exec bench/main.exe -- perf-serve   # cold vs cache-hydrated builds,
                                               # warm daemon request latency
@@ -47,7 +47,8 @@ let bench_tests () =
   and b24 = M.random_int 16 36 st
   and c24 = M.random_int 24 36 st in
   let blocking = { Exo_blis.Analytical.mc = 16; kc = 8; nc = 24 } in
-  let exo_ukr = Exo_blis.Registry.exo_ukr () in
+  let closure_ukr = Exo_blis.Registry.exo_ukr_closure () in
+  let kernels = Exo_blis.Registry.exo_bank ~mr:8 ~nr:12 () in
   let resnet_layer (l : Exo_workloads.Models.layer) s =
     let m, n, k = Exo_workloads.Models.gemm_dims l in
     ignore (D.time machine s ~m ~n ~k)
@@ -62,11 +63,11 @@ let bench_tests () =
         ignore
           (Exo_codegen.C_emit.proc_to_c
              (Exo_blis.Registry.exo_kernel ~mr:8 ~nr:12 ()).F.proc));
-    test_of_fun "interp: one 8x12 kernel call (kc=32)" (fun () ->
+    test_of_fun "closure engine: one 8x12 kernel call (kc=32)" (fun () ->
         let ac = Array.make (32 * 8) 1.0
         and bc = Array.make (32 * 12) 1.0
         and c = Array.make (12 * 8) 0.0 in
-        exo_ukr ~kc:32 ~mr:8 ~nr:12 ~ac ~ao:0 ~bc ~bo:0 ~c);
+        closure_ukr ~kc:32 ~mr:8 ~nr:12 ~ac ~ao:0 ~bc ~bo:0 ~c);
     (* per-table/figure harness computations *)
     test_of_fun "fig12: census of the generated kernel" (fun () ->
         ignore (Exo_sim.Trace.of_proc (Exo_blis.Registry.exo_kernel ~mr:8 ~nr:12 ()).F.proc));
@@ -105,9 +106,9 @@ let bench_tests () =
           (fun l -> List.iter (resnet_layer l) (D.all_setups ()))
           Exo_workloads.Models.vgg16);
     (* numeric substrate *)
-    test_of_fun "gemm: 24x36x16 blocked + interpreted Exo kernels" (fun () ->
+    test_of_fun "gemm: 24x36x16 blocked + Exo kernel table" (fun () ->
         let c = M.copy c24 in
-        G.blis ~blocking ~mr:8 ~nr:12 ~ukr:exo_ukr a24 b24 c);
+        G.blis_ba ~blocking ~mr:8 ~nr:12 ~kernels a24 b24 c);
     test_of_fun "gemm: 24x36x16 naive f32" (fun () ->
         let c = M.copy c24 in
         G.naive_f32 a24 b24 c);
@@ -157,7 +158,7 @@ let run_bechamel () =
 (* Shared provenance metadata for every BENCH_*.json this harness       *)
 (* writes: the one Obs.Meta writer (shared with ukrgen lint --tiers     *)
 (* --json), with the ocamlopt flambda flag added — without flambda the  *)
-(* float-array tiers pay boxing the Bigarray tier does not, so GFLOPS   *)
+(* closure engine pays boxing the Bigarray tier does not, so GFLOPS    *)
 (* numbers are only comparable across hosts with this block.            *)
 
 let meta_json () =
@@ -415,10 +416,10 @@ let run_perf_sim ?(smoke = false) () =
 
 (* ------------------------------------------------------------------ *)
 (* perf-gemm: the executable GEMM path. Measures the three kernel tiers *)
-(* (closure engine, flat tape, monomorphized Bigarray) on one 8x12 call *)
-(* at paper kc, times a full paper-scale GEMM through the Bigarray      *)
-(* macro-kernel (validated exactly against naive f32 AND the flat tier, *)
-(* with zero closure fallbacks demanded of the complete table), checks  *)
+(* (closure engine, monomorphized Bigarray, native) on one 8x12 call at *)
+(* paper kc, times a full paper-scale GEMM through the macro-kernel     *)
+(* (validated exactly against naive f32 and the Bigarray bank, with     *)
+(* zero closure fallbacks demanded of the complete table), checks       *)
 (* bit-identical C at pool widths 1/2/4 over the (jc x ic) task grid —  *)
 (* including a small-n ResNet50 layer shape where jc alone is one task  *)
 (* — and runs a DNN workload slice through Gemm.batch_ba. Writes        *)
@@ -434,36 +435,22 @@ let run_perf_gemm ?(smoke = false) () =
   let min_time = if smoke then 0.05 else 0.3 in
   Fmt.pr "Executable-GEMM benchmark%s@." (if smoke then " (smoke)" else "");
   Fmt.pr "%s@." (String.make 78 '-');
-  (* 1. one micro-kernel call: specialized flat-loop tier vs the closure
-     engine, at the paper blocking's kc *)
+  (* 1. one micro-kernel call per tier at the paper blocking's kc, the
+     closure engine as the reference tile *)
   let kc = if smoke then 128 else 512 in
   let mr = 8 and nr = 12 in
   let st = Random.State.make [| 42 |] in
   let mk n = Array.init n (fun _ -> float_of_int (Random.State.int st 7 - 3)) in
   let ac = mk (kc * mr) and bc = mk (kc * nr) in
   let c0 = mk (nr * mr) in
-  let fast =
-    match R.exo_ukr_fast ~mr ~nr () with
-    | Some u -> u
-    | None -> failwith "perf-gemm: 8x12 kernel rejected by the specialized tier"
-  in
   let closure = R.exo_ukr_closure () in
-  let c1 = Array.copy c0 and c2 = Array.copy c0 in
-  fast ~kc ~ac ~ao:0 ~bc ~bo:0 ~c:c1;
-  closure ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c:c2;
-  if c1 <> c2 then failwith "perf-gemm: specialized and closure kernels disagree";
-  Fmt.pr "kernel tiers agree bit-exactly on the C tile@.";
-  let t_fast =
-    time_runs ~min_time (fun () ->
-        let c = Array.copy c0 in
-        fast ~kc ~ac ~ao:0 ~bc ~bo:0 ~c)
-  in
+  let c1 = Array.copy c0 in
+  closure ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c:c1;
   let t_closure =
     time_runs ~min_time (fun () ->
         let c = Array.copy c0 in
         closure ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c)
   in
-  let ukr_speedup = t_closure /. t_fast in
   (* the monomorphized Bigarray tier on the same tile, through the real
      dispatch table (counting wrapper included) *)
   let table = R.exo_table ~mr ~nr () in
@@ -511,7 +498,7 @@ let run_perf_gemm ?(smoke = false) () =
       if not (Float.equal (Bigarray.Array1.get c3 i) v) then
         failwith "perf-gemm: Bigarray and closure kernels disagree")
     c1;
-  Fmt.pr "kernel tiers (incl. Bigarray) agree bit-exactly on the C tile@.";
+  Fmt.pr "kernel tiers agree bit-exactly on the C tile@.";
   let t_ba =
     let c = to_ba c0 in
     time_runs ~min_time (fun () ->
@@ -539,13 +526,9 @@ let run_perf_gemm ?(smoke = false) () =
     nat_info.R.ni_target nat_info.R.ni_cc nat_info.R.ni_entries (mr * nr)
     nat_info.R.ni_reason;
   Fmt.pr "closure engine     : %12.1f us/call@." (t_closure *. 1e6);
-  Fmt.pr "specialized lowering: %11.1f us/call@." (t_fast *. 1e6);
   Fmt.pr "monomorphized ba   : %12.1f us/call@." (t_ba *. 1e6);
   Fmt.pr "native jit         : %12.1f us/call@." (t_native_ukr *. 1e6);
-  Fmt.pr "speedup (flat)     : %12.1fx %s@." ukr_speedup
-    (if ukr_speedup >= 5.0 then "(>= 5x: ok)" else "(below the 5x target!)");
-  Fmt.pr "speedup (bigarray) : %12.1fx vs closure, %.1fx vs flat@." ba_speedup
-    (t_fast /. t_ba);
+  Fmt.pr "speedup (bigarray) : %12.1fx vs closure@." ba_speedup;
   Fmt.pr "speedup (native)   : %12.1fx vs bigarray (per ukr call)@."
     (t_ba /. t_native_ukr);
   (* 2. a full paper-scale GEMM through the macro-kernel, validated exactly
@@ -555,7 +538,6 @@ let run_perf_gemm ?(smoke = false) () =
   let blocking = Exo_blis.Analytical.compute machine ~mr ~nr ~dtype_bytes:4 in
   let a = M.random_int dim dim st and b = M.random_int dim dim st in
   let c_init = M.random_int dim dim st in
-  let exo_ukr = R.exo_ukr () in
   let kernels = R.exo_bank ~mr ~nr () in
   let run_width jobs =
     let c = M.copy c_init in
@@ -601,21 +583,6 @@ let run_perf_gemm ?(smoke = false) () =
   if not (M.equal c_serial c_ref) then
     failwith "perf-gemm: macro-kernel disagrees with naive f32 reference";
   Fmt.pr "validated exactly against naive f32@.";
-  (* the previous (flat-array tape) tier on the same problem: the
-     before/after of the Bigarray move, and a cross-tier bit-exactness
-     check on a full GEMM *)
-  let t_flat =
-    let c = M.copy c_init in
-    let pool = Exo_par.Pool.create ~jobs:1 () in
-    let t0 = Unix.gettimeofday () in
-    G.blis ~pool ~blocking ~mr ~nr ~ukr:exo_ukr a b c;
-    let t = Unix.gettimeofday () -. t0 in
-    if not (M.equal c c_serial) then
-      failwith "perf-gemm: Bigarray and flat tiers disagree on the GEMM result";
-    t
-  in
-  Fmt.pr "%d^3 GEMM, flat tier: %8.2f s  (%.3f GFLOPS, bigarray %.2fx)@." dim
-    t_flat (gflops_of t_flat) (t_flat /. t_serial);
   (* the Bigarray tier on the same problem through the pre-upgrade bank:
      the native tier's before/after A-B — the serving (native) result must
      be bit-identical, and on a full run with the tier serving it must be
@@ -783,7 +750,7 @@ let run_perf_gemm ?(smoke = false) () =
   in
   let batch_flops = List.fold_left (fun s (_, _, _, _, f) -> s +. f) 0.0 batch_rows in
   let batch_gflops = batch_flops /. t_batch /. 1e9 in
-  Fmt.pr "ResNet50 slice (%d layers) via Gemm.batch: %.2f s  (%.3f GFLOPS)@."
+  Fmt.pr "ResNet50 slice (%d layers) via Gemm.batch_ba: %.2f s  (%.3f GFLOPS)@."
     (List.length layers) t_batch batch_gflops;
   (* the post-reset phases (width sweeps, small-n, batch) get the same
      fallbacks-zero gate as the serial run *)
@@ -869,8 +836,6 @@ let run_perf_gemm ?(smoke = false) () =
     \    \"kernel\": \"uk_%dx%d_neon-f32\",\n\
     \    \"kc\": %d,\n\
     \    \"closure_us_per_call\": %.3f,\n\
-    \    \"specialized_us_per_call\": %.3f,\n\
-    \    \"speedup\": %.2f,\n\
     \    \"bigarray_us_per_call\": %.3f,\n\
     \    \"bigarray_speedup\": %.2f\n\
     \  },\n\
@@ -899,9 +864,6 @@ let run_perf_gemm ?(smoke = false) () =
     \    \"blocking\": [%d, %d, %d],\n\
     \    \"seconds_1job\": %.3f,\n\
     \    \"gflops_1job\": %.4f,\n\
-    \    \"flat_seconds_1job\": %.3f,\n\
-    \    \"flat_gflops_1job\": %.4f,\n\
-    \    \"speedup_vs_flat\": %.2f,\n\
     \    \"fast_calls\": %d,\n\
     \    \"fallback_calls\": %d,\n\
     \    \"sweep_batch_fallback_calls\": %d,\n\
@@ -937,8 +899,7 @@ let run_perf_gemm ?(smoke = false) () =
     \    \"gflops\": %.4f\n\
     \  }\n\
      }\n"
-    (meta_json ()) smoke mr nr kc (t_closure *. 1e6) (t_fast *. 1e6) ukr_speedup
-    (t_ba *. 1e6) ba_speedup nat_info.R.ni_enabled nat_info.R.ni_target
+    (meta_json ()) smoke mr nr kc (t_closure *. 1e6) (t_ba *. 1e6) ba_speedup nat_info.R.ni_enabled nat_info.R.ni_target
     nat_info.R.ni_cc
     (match Exo_native.Host.isas () with
     | [] -> "generic"
@@ -948,7 +909,7 @@ let run_perf_gemm ?(smoke = false) () =
     tk.L.tk_proved tk.L.tk_total tk.L.tk_disagreements
     reg_certified dim blocking.Exo_blis.Analytical.mc
     blocking.Exo_blis.Analytical.kc blocking.Exo_blis.Analytical.nc t_serial
-    gemm_gflops t_flat (gflops_of t_flat) (t_flat /. t_serial) fast_calls
+    gemm_gflops fast_calls
     fallback_calls phase2_fallback par_blocking.Exo_blis.Analytical.nc
     par_blocking.Exo_blis.Analytical.mc par_tasks host_cores oversubscribed
     (String.concat ", "
@@ -972,8 +933,6 @@ let run_perf_gemm ?(smoke = false) () =
          (t_ba *. 1e6);
        Ledger.metric ~unit_:"s" Ledger.Info "gemm.bigarray_seconds_1job"
          t_ba_gemm;
-       Ledger.metric ~unit_:"us" Ledger.Info "ukr.specialized_us_per_call"
-         (t_fast *. 1e6);
        Ledger.metric ~unit_:"GFLOPS" Ledger.Info "batch.gflops" batch_gflops;
        Ledger.metric Ledger.Info "attr.dim" (float_of_int dim);
        Ledger.metric ~unit_:"GFLOPS" Ledger.Info "attr.measured_gflops"

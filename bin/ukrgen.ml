@@ -625,7 +625,7 @@ let trace_cmd =
              the registry memo — a warm cache would skip the spans) *)
           let kern = Family.generate ~kit ~mr ~nr () in
           (* 2. a small real GEMM through the BLIS macro-kernel, running
-             the generated kernel on the compiled engine: pack-A / pack-B /
+             the generated kernel table: table build, pack-A / pack-B /
              macro-kernel / micro-kernel dispatch spans *)
           let m, n, k = (48, 48, 48) in
           let blocking =
@@ -640,8 +640,8 @@ let trace_cmd =
                 float_of_int ((((2 * i) + j) mod 5) - 2))
           in
           let c = Exo_blis.Matrix.create m n in
-          Exo_blis.Gemm.blis ~blocking ~mr ~nr
-            ~ukr:(Exo_blis.Registry.exo_ukr ~kit ())
+          Exo_blis.Gemm.blis_ba ~blocking ~mr ~nr
+            ~kernels:(Exo_blis.Registry.exo_bank ~kit ~mr ~nr ())
             a b c;
           (* 3. a tuner sweep across the domain pool and a cache-simulator
              run: per-config spans, phase counters, pc-block progress *)
@@ -740,7 +740,8 @@ let run_cmd =
   in
   let jobs =
     Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Pool width for the jc loop (0: the process default).")
+           ~doc:"Pool width for the (jc x ic) task grid (0: the process \
+                 default).")
   in
   let limit =
     Arg.(value & opt int 0 & info [ "limit" ] ~docv:"N"
@@ -782,10 +783,12 @@ let run_cmd =
           (l, a, b, c, if check then Some (M.copy c) else None))
         layers
     in
-    let ukr = Exo_blis.Registry.exo_ukr () in
+    let kernels = Exo_blis.Registry.exo_bank ~mr ~nr () in
+    (* build (or hydrate) the table before the clock starts *)
+    ignore (kernels ());
     let ws = G.workspace () in
     let t0 = Unix.gettimeofday () in
-    G.batch ~pool ~ws ~ukr
+    G.batch_ba ~pool ~ws ~kernels
       (List.map
          (fun (_, a, b, c, _) ->
            {

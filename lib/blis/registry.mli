@@ -1,13 +1,15 @@
 (** The micro-kernel registry: Section IV's three competitors, in numeric
-    form (a {!Gemm.ukr}) and model form (a {!Exo_sim.Kernel_model.impl}).
-    Generated kernels are produced on demand and cached. *)
+    form (a kernel table for {!Gemm.blis_ba}) and model form (a
+    {!Exo_sim.Kernel_model.impl}). Generated kernels are produced on demand
+    and cached. *)
 
 (** Generate (or fetch) a specialized kernel. *)
 val exo_kernel :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit -> Exo_ukr_gen.Family.kernel
 
-(** The closure-compiled form of a generated kernel — the fast execution
-    engine behind {!exo_ukr}. Compiled once per (kit, mr, nr) PER DOMAIN
+(** The closure-compiled form of a generated kernel — the engine behind
+    {!exo_ukr_closure} and the non-f32 table entries. Compiled once per
+    (kit, mr, nr) PER DOMAIN
     and cached in domain-local storage: a compiled kernel carries a mutable
     argument frame and is not re-entrant across domains. *)
 val exo_compiled :
@@ -23,34 +25,32 @@ val base_8x12 : ?kit:Exo_ukr_gen.Kits.t -> unit -> Exo_ir.Ir.proc
 val blis_impl : ?kit:Exo_ukr_gen.Kits.t -> unit -> Exo_sim.Kernel_model.impl
 val neon_impl : ?kit:Exo_ukr_gen.Kits.t -> unit -> Exo_sim.Kernel_model.impl
 
-(** The specialized flat-loop form of a generated kernel
-    ({!Exo_interp.Compile.to_ukr}), cached per domain like {!exo_compiled}
-    (the closure owns a mutable scratch slab). [None] — also cached — means
-    the kernel's shape isn't supported by the specialized tier. *)
-val exo_ukr_fast :
-  ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit ->
-  Exo_interp.Compile.ukr_fn option
+(** {1 Reference tile functions} *)
 
-(** Numeric micro-kernel for the GEMM driver: the specialized flat-loop
-    tier when the kernel admits it, otherwise the compiled closure engine
-    over zero-copy views of the caller's arrays. *)
-val exo_ukr : ?kit:Exo_ukr_gen.Kits.t -> unit -> Gemm.ukr
+(** A float-array tile function: [c += acᵀ·bc] on one mr×nr tile, [ac] a
+    kc×mr k-major panel at [ao], [bc] a kc×nr panel at [bo], [c] the
+    transposed nr×mr tile — the {!Gemm.ukr_ba} layout over plain arrays. *)
+type tile =
+  kc:int -> mr:int -> nr:int -> ac:float array -> ao:int -> bc:float array ->
+  bo:int -> c:float array -> unit
 
-(** The closure-engine path only — the baseline the specialized tier is
-    measured against in [bench/main.exe perf-gemm]. *)
-val exo_ukr_closure : ?kit:Exo_ukr_gen.Kits.t -> unit -> Gemm.ukr
+(** A generated kernel through the compiled closure engine — the reference
+    the faster tiers are certified and measured against. *)
+val exo_ukr_closure : ?kit:Exo_ukr_gen.Kits.t -> unit -> tile
 
 (** The same numerics through the tree-walking interpreter — the
     definitional oracle, kept for cross-checks and speedup measurement. *)
-val exo_ukr_interp : ?kit:Exo_ukr_gen.Kits.t -> unit -> Gemm.ukr
+val exo_ukr_interp : ?kit:Exo_ukr_gen.Kits.t -> unit -> tile
 
-(** The monolithic kernels' numerics (identical arithmetic; their differences
-    are micro-architectural and live in the model impls). *)
-val monolithic_ukr : Gemm.ukr
+(** A {!Gemm.blis_ba} kernel table over a tile function: mr·nr entries that
+    copy their Bigarray operands through float arrays — how the reference
+    engines drive the same macro-kernel as the fast tiers. *)
+val tile_bank :
+  tile -> mr:int -> nr:int -> unit -> Exo_interp.Compile.ukr_ba array
 
 (** {1 The monomorphized (mr' × nr') kernel table}
 
-    The third execution tier: one {!Exo_interp.Compile.ukr_ba} per
+    The Bigarray tier: one {!Exo_interp.Compile.ukr_ba} per
     (mr', nr') with mr' ∈ 1..mr, nr' ∈ 1..nr, flat at index
     [(mr'-1)·nr + nr'-1], so fringe macro-kernel calls dispatch by plain
     array indexing and never fall back to the closure engine. Built once
@@ -164,9 +164,6 @@ val ukr_tier_counts : unit -> int * int * int
 (** Zero both dispatch counters, so repeated in-process bench/test phases
     measure their own dispatches instead of accumulating across tiers. *)
 val reset_dispatch_counts : unit -> unit
-
-(** Historical alias of {!reset_dispatch_counts}. *)
-val reset_ukr_dispatch_counts : unit -> unit
 
 (** [(proved, unproved)] static {!Exo_check.Tierlint} verdict totals
     counted at table-build time (mirrored to the Obs counters

@@ -1,11 +1,10 @@
-(** Translation validation for the lowered micro-kernel execution tiers.
+(** Translation validation for the lowered micro-kernel execution tier.
 
-    The flat-tape ({!Exo_interp.Compile.to_ukr}) and Bigarray
-    ({!Exo_interp.Compile.to_ukr_ba}) tiers run [unsafe] accesses behind one
-    hoisted range check, and until now were certified only *dynamically*
-    (integer probes against the closure engine). This module is a static
-    validator over the auditable {!Exo_interp.Compile.Summary} each lowering
-    emits: the summary's affine addresses are evaluated in the
+    The Bigarray tier ({!Exo_interp.Compile.to_ukr_ba}) runs [unsafe]
+    accesses behind one hoisted range check, which a dynamic certificate
+    alone (integer probes against the closure engine) cannot justify for
+    every input. This module is a static validator over the auditable
+    {!Exo_interp.Compile.Summary} the lowering emits: the summary's affine addresses are evaluated in the
     affine-interval domain of the {!Effects} region algebra, with the
     k-loop counter ranging over [0, kc-1] and [kc] a symbolic size.
 

@@ -7,7 +7,7 @@
      line (torn tail, hand edit) is counted, skipped, and reported;
    - the JSON layer below is deliberately tiny — the ledger depends on
      nothing beyond the stdlib, [unix], and [exo_obs] (for the shared git
-     commit / identity fields). *)
+     commit / identity fields and the JSON string escaper). *)
 
 module Obs = Exo_obs.Obs
 
@@ -23,22 +23,6 @@ module Json = struct
     | Arr of t list
     | Obj of (string * t) list
 
-  let escape (s : string) : string =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | '\r' -> Buffer.add_string b "\\r"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
   let num_to_string (v : float) : string =
     if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
     else Printf.sprintf "%.12g" v
@@ -48,12 +32,14 @@ module Json = struct
     | Null -> "null"
     | Bool b -> if b then "true" else "false"
     | Num v -> num_to_string v
-    | Str s -> "\"" ^ escape s ^ "\""
+    | Str s -> "\"" ^ Obs.json_escape s ^ "\""
     | Arr xs -> "[" ^ String.concat "," (List.map to_string xs) ^ "]"
     | Obj kvs ->
         "{"
         ^ String.concat ","
-            (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ to_string v) kvs)
+            (List.map
+               (fun (k, v) -> "\"" ^ Obs.json_escape k ^ "\":" ^ to_string v)
+               kvs)
         ^ "}"
 
   exception Bad of string

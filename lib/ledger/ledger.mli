@@ -36,9 +36,6 @@ module Json : sig
   val to_string : t -> string
   (** One line, no newlines; integral floats print without a [.]. *)
 
-  val escape : string -> string
-  (** JSON string-body escaping (quotes, backslash, control chars). *)
-
   (** Accessors, [None] on shape mismatch. *)
 
   val member : string -> t -> t option

@@ -20,12 +20,12 @@
 #include <dlfcn.h>
 #include <pthread.h>
 
-typedef void (*exo_ukr_fn)(int kc, const float *A, const float *B, float *C,
-                           int ldc);
+typedef void (*exo_native_fn)(int kc, const float *A, const float *B,
+                              float *C, int ldc);
 
 #define EXO_NATIVE_MAX_SLOTS 16384
 
-static exo_ukr_fn exo_slots[EXO_NATIVE_MAX_SLOTS];
+static exo_native_fn exo_slots[EXO_NATIVE_MAX_SLOTS];
 static int exo_slot_len = 0;
 static pthread_mutex_t exo_slot_mutex = PTHREAD_MUTEX_INITIALIZER;
 
@@ -54,7 +54,7 @@ CAMLprim value exo_native_dlsym(value vhandle, value vsym)
     caml_failwith("exo_native: slot table full");
   }
   slot = exo_slot_len;
-  exo_slots[slot] = (exo_ukr_fn)fn;
+  exo_slots[slot] = (exo_native_fn)fn;
   exo_slot_len++;
   pthread_mutex_unlock(&exo_slot_mutex);
   return Val_int(slot);
@@ -68,7 +68,7 @@ CAMLprim value exo_native_call_native(value vslot, value vkc, value va,
                                       value vao, value vb, value vbo,
                                       value vc, value vco, value vldc)
 {
-  exo_ukr_fn f = exo_slots[Int_val(vslot)];
+  exo_native_fn f = exo_slots[Int_val(vslot)];
   const float *a = (const float *)Caml_ba_data_val(va) + Int_val(vao);
   const float *b = (const float *)Caml_ba_data_val(vb) + Int_val(vbo);
   float *c = (float *)Caml_ba_data_val(vc) + Int_val(vco);

@@ -435,7 +435,7 @@ let reset () : unit =
   Atomic.set region_ctr 0
 
 (* ------------------------------------------------------------------ *)
-(* JSON plumbing (shared by the Chrome exporter and Provenance)        *)
+(* JSON plumbing (shared by the exporters, the ledger and the daemon) *)
 
 let json_escape (s : string) : string =
   let b = Buffer.create (String.length s + 8) in

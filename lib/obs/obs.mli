@@ -259,3 +259,7 @@ end
 
 (** Wall-clock microseconds (for callers timing sub-phases by hand). *)
 val now_us : unit -> float
+
+(** JSON string-body escaping (quotes, backslash, control characters;
+    UTF-8 passes through) — the one escaper every JSON writer shares. *)
+val json_escape : string -> string

@@ -404,7 +404,7 @@ let handle_request (stop : bool Atomic.t) (line : string) : string list =
       Ledger.Sink.write sink
         (Printf.sprintf
            "{\"ts\":%.6f,\"verb\":\"%s\",\"ok\":%b,\"us\":%d,\"lines\":%d}" t0
-           (Ledger.Json.escape verb) (not failed) us (List.length response)));
+           (Obs.json_escape verb) (not failed) us (List.length response)));
   response
 
 (* ------------------------------------------------------------------ *)

@@ -297,24 +297,9 @@ let pp_tiers ppf (o : tiers_outcome) =
     (List.length o.tier_kits)
     (if List.length o.tier_kits = 1 then "" else "s")
 
-(* Minimal JSON escaping: UTF-8 passes through; quotes, backslashes and
-   control characters are escaped (OCaml's %S would emit decimal escapes
-   JSON does not accept). *)
-let json_str s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+(* a quoted JSON string (OCaml's %S would emit decimal escapes JSON does
+   not accept) *)
+let json_str s = "\"" ^ Exo_obs.Obs.json_escape s ^ "\""
 
 let tiers_json (o : tiers_outcome) : string =
   let verdict = function

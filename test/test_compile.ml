@@ -195,28 +195,16 @@ let test_family_kernels_agree_f16 () =
         true (B.equal c1 c2))
     [ (8, 8); (8, 4); (16, 8); (1, 8) ]
 
-(* --- the specialized micro-kernel tier (to_ukr) -------------------------- *)
+(* --- generated kernels over offset panel views ---------------------------- *)
 
-(* Run one generated kernel through all three engines — tree-walking
-   interpreter, general closure engine, and the specialized to_ukr tape —
-   on inputs regenerated from the same seed. The engines take offset
-   buffer views; the ukr_fn takes raw arrays plus panel offsets. *)
-let run_ukr_triple ~(kit : Kits.t) ~mr ~nr ~kc ~ao ~bo ~seed =
+(* Run one generated kernel through the tree-walking interpreter and the
+   closure engine on inputs regenerated from the same seed, with Ac and Bc
+   bound as views starting at panel offsets [ao] / [bo] — how the reference
+   tile functions see a packing arena. *)
+let check_offset_views ~(kit : Kits.t) ~mr ~nr ~kc ~ao ~bo ~seed =
   let proc = (Exo_blis.Registry.exo_kernel ~kit ~mr ~nr ()).Family.proc in
   let ck = C.compile proc in
-  let uk =
-    match C.to_ukr proc with
-    | Some (u, _) -> u
-    | None -> Alcotest.failf "to_ukr refused %s %dx%d" kit.Kits.name mr nr
-  in
   let one = B.of_array kit.Kits.dt [ 1 ] [| 1.0 |] in
-  let mk_arrays () =
-    let st = Random.State.make [| seed; mr; nr; kc; ao; bo |] in
-    let mk n =
-      Array.init (max 1 n) (fun _ -> float_of_int (Random.State.int st 7 - 3))
-    in
-    (mk (ao + (kc * mr)), mk (bo + (kc * nr)), mk (nr * mr))
-  in
   let view data dims offset =
     let dims = Array.of_list dims in
     let n = Array.length dims in
@@ -227,7 +215,12 @@ let run_ukr_triple ~(kit : Kits.t) ~mr ~nr ~kc ~ao ~bo ~seed =
     { B.data; dtype = kit.Kits.dt; dims; strides; offset }
   in
   let via_engine run =
-    let ac, bc, c = mk_arrays () in
+    let st = Random.State.make [| seed; mr; nr; kc; ao; bo |] in
+    let mk n =
+      Array.init (max 1 n) (fun _ -> float_of_int (Random.State.int st 7 - 3))
+    in
+    let ac = mk (ao + (kc * mr)) and bc = mk (bo + (kc * nr)) in
+    let c = mk (nr * mr) in
     run
       [
         I.VInt kc;
@@ -239,81 +232,18 @@ let run_ukr_triple ~(kit : Kits.t) ~mr ~nr ~kc ~ao ~bo ~seed =
       ];
     c
   in
-  let c_interp = via_engine (I.run proc) in
-  let c_closure = via_engine (C.run ck) in
-  let ac, bc, c_fast = mk_arrays () in
-  uk ~kc ~ac ~ao ~bc ~bo ~c:c_fast;
-  (c_interp, c_closure, c_fast)
+  let bits = Array.map Int64.bits_of_float in
+  bits (via_engine (I.run proc)) = bits (via_engine (C.run ck))
 
-let arrays_bit_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       a b
-
-let check_ukr_triple ~kit ~mr ~nr ~kc ~ao ~bo ~seed =
-  let ci, cc, cf = run_ukr_triple ~kit ~mr ~nr ~kc ~ao ~bo ~seed in
-  arrays_bit_equal ci cc && arrays_bit_equal ci cf
-
-let test_to_ukr_family_f32 () =
-  List.iter
-    (fun (mr, nr) ->
-      Alcotest.(check bool)
-        (Fmt.str "%dx%d f32: to_ukr ≡ closure ≡ interp" mr nr)
-        true
-        (check_ukr_triple ~kit:Kits.neon_f32 ~mr ~nr ~kc:24 ~ao:0 ~bo:0 ~seed:11))
-    Family.paper_shapes
-
-let test_to_ukr_family_f16 () =
-  List.iter
-    (fun (mr, nr) ->
-      Alcotest.(check bool)
-        (Fmt.str "%dx%d f16: to_ukr ≡ closure ≡ interp" mr nr)
-        true
-        (check_ukr_triple ~kit:Kits.neon_f16 ~mr ~nr ~kc:16 ~ao:8 ~bo:4 ~seed:3))
-    [ (8, 8); (8, 4); (16, 8); (1, 8) ]
-
-let test_to_ukr_all_kits () =
-  (* one shape per kit: covers Packed, PackedBcast, Row and Scalar styles
-     plus the i32 rounding path *)
-  List.iter
-    (fun (kit : Kits.t) ->
-      Alcotest.(check bool)
-        (Fmt.str "%s 8x12: to_ukr ≡ closure ≡ interp" kit.Kits.name)
-        true
-        (check_ukr_triple ~kit ~mr:8 ~nr:12 ~kc:9 ~ao:3 ~bo:5 ~seed:17))
-    Kits.all
-
-let test_to_ukr_kc_zero () =
-  (* kc = 0 still runs the C round-trip through register memory *)
-  Alcotest.(check bool)
-    "kc=0: to_ukr ≡ closure ≡ interp" true
-    (check_ukr_triple ~kit:Kits.neon_f32 ~mr:8 ~nr:12 ~kc:0 ~ao:0 ~bo:0 ~seed:5)
-
-let test_to_ukr_short_array_raises () =
-  (* a call whose panels don't cover kc must divert to the general engine
-     and raise exactly like the interpreter (no unsafe access) *)
-  let proc = (Exo_blis.Registry.exo_kernel ~kit:Kits.neon_f32 ~mr:8 ~nr:12 ()).Family.proc in
-  let uk = fst (Option.get (C.to_ukr proc)) in
-  let c = Array.make (12 * 8) 0.0 in
-  Alcotest.(check bool) "short Ac raises" true
-    (try
-       uk ~kc:4 ~ac:(Array.make 8 1.0) ~ao:0 ~bc:(Array.make (4 * 12) 1.0)
-         ~bo:0 ~c;
-       false
-     with
-    | Exo_interp.Buffer.Bounds _ | I.Runtime_error _ | Invalid_argument _ ->
-        true)
-
-let prop_to_ukr_equiv =
-  QCheck2.Test.make ~name:"to_ukr ≡ closure ≡ interp (random kc/offsets/seeds)"
+let prop_offset_views_equiv =
+  QCheck2.Test.make ~name:"closure ≡ interp (random kc/offsets/seeds)"
     ~count:120
     QCheck2.Gen.(
       quad
         (oneofl Family.paper_shapes)
         (int_range 0 33) (pair (int_range 0 5) (int_range 0 7)) (int_range 0 1000))
     (fun ((mr, nr), kc, (ao, bo), seed) ->
-      check_ukr_triple ~kit:Kits.neon_f32 ~mr ~nr ~kc ~ao ~bo ~seed)
+      check_offset_views ~kit:Kits.neon_f32 ~mr ~nr ~kc ~ao ~bo ~seed)
 
 (* --- runtime contracts --------------------------------------------------- *)
 
@@ -461,7 +391,7 @@ let () =
       [
         prop_compiled_equals_interpreted;
         prop_compiled_equals_interpreted_scheduled;
-        prop_to_ukr_equiv;
+        prop_offset_views_equiv;
       ]
   in
   Alcotest.run "compile"
@@ -471,16 +401,6 @@ let () =
         [
           Alcotest.test_case "paper family f32" `Quick test_family_kernels_agree;
           Alcotest.test_case "family f16" `Quick test_family_kernels_agree_f16;
-        ] );
-      ( "to_ukr",
-        [
-          Alcotest.test_case "paper family f32" `Quick test_to_ukr_family_f32;
-          Alcotest.test_case "family f16, offset panels" `Quick
-            test_to_ukr_family_f16;
-          Alcotest.test_case "every kit (all styles)" `Quick test_to_ukr_all_kits;
-          Alcotest.test_case "kc = 0" `Quick test_to_ukr_kc_zero;
-          Alcotest.test_case "short array diverts and raises" `Quick
-            test_to_ukr_short_array_raises;
         ] );
       ( "contracts",
         [

@@ -176,8 +176,7 @@ let test_differential kit () =
       (native_calls > 0);
     Alcotest.(check int) (kit.K.name ^ ": no fallbacks") 0 fallback;
     let c_ba = run (R.exo_bank_ba ~kit ~mr ~nr ()) in
-    let c_closure = M.create m n in
-    G.blis ~blocking ~mr ~nr ~ukr:(R.exo_ukr ~kit ()) a b c_closure;
+    let c_closure = run (R.tile_bank (R.exo_ukr_closure ~kit ()) ~mr ~nr) in
     let c_naive = M.create m n in
     G.naive_f32 a b c_naive;
     Alcotest.(check bool) (kit.K.name ^ ": native = bigarray") true
