@@ -4,8 +4,6 @@
      dune exec bench/main.exe                 # every table and figure
      dune exec bench/main.exe -- fig13        # one experiment
      dune exec bench/main.exe -- bechamel     # wall-clock Bechamel benches
-     dune exec bench/main.exe -- perf         # compiled vs interpreted engine
-                                              # (writes BENCH_interp.json)
      dune exec bench/main.exe -- perf-sim     # compressed vs element cache sim
                                               # + 1-vs-N-domain sweeps
                                               # (writes BENCH_sim.json)
@@ -23,7 +21,7 @@
                                               # (or set $UKRGEN_LEDGER)
 
    Experiments: fig12 fig13 fig14 tab1 tab2 fig15 fig16 fig17 fig18
-   ablation bechamel perf perf-sim[-smoke] perf-gemm[-smoke]
+   ablation bechamel perf-sim[-smoke] perf-gemm[-smoke]
    perf-serve[-smoke] lint all *)
 
 open Bechamel
@@ -47,7 +45,6 @@ let bench_tests () =
   and b24 = M.random_int 16 36 st
   and c24 = M.random_int 24 36 st in
   let blocking = { Exo_blis.Analytical.mc = 16; kc = 8; nc = 24 } in
-  let closure_ukr = Exo_blis.Registry.exo_ukr_closure () in
   let kernels = Exo_blis.Registry.exo_bank ~mr:8 ~nr:12 () in
   let resnet_layer (l : Exo_workloads.Models.layer) s =
     let m, n, k = Exo_workloads.Models.gemm_dims l in
@@ -63,11 +60,6 @@ let bench_tests () =
         ignore
           (Exo_codegen.C_emit.proc_to_c
              (Exo_blis.Registry.exo_kernel ~mr:8 ~nr:12 ()).F.proc));
-    test_of_fun "closure engine: one 8x12 kernel call (kc=32)" (fun () ->
-        let ac = Array.make (32 * 8) 1.0
-        and bc = Array.make (32 * 12) 1.0
-        and c = Array.make (12 * 8) 0.0 in
-        closure_ukr ~kc:32 ~mr:8 ~nr:12 ~ac ~ao:0 ~bc ~bo:0 ~c);
     (* per-table/figure harness computations *)
     test_of_fun "fig12: census of the generated kernel" (fun () ->
         ignore (Exo_sim.Trace.of_proc (Exo_blis.Registry.exo_kernel ~mr:8 ~nr:12 ()).F.proc));
@@ -157,9 +149,9 @@ let run_bechamel () =
 (* ------------------------------------------------------------------ *)
 (* Shared provenance metadata for every BENCH_*.json this harness       *)
 (* writes: the one Obs.Meta writer (shared with ukrgen lint --tiers     *)
-(* --json), with the ocamlopt flambda flag added — without flambda the  *)
-(* closure engine pays boxing the Bigarray tier does not, so GFLOPS    *)
-(* numbers are only comparable across hosts with this block.            *)
+(* --json), with the ocamlopt flambda flag added — OCaml-side timings   *)
+(* depend on it, so GFLOPS numbers are only comparable across hosts     *)
+(* with this block.                                                     *)
 
 let meta_json () =
   let module Host = Exo_native.Host in
@@ -194,11 +186,6 @@ let ledger_append ~bench metrics =
       Ledger.append ~path r;
       Fmt.pr "ledger: appended %S record to %s@." bench path
 
-(* ------------------------------------------------------------------ *)
-(* perf: the compiled execution engine vs the tree-walking interpreter  *)
-(* on the paper's base kernel, plus a tuner-sweep timing. Writes the    *)
-(* measurements to BENCH_interp.json.                                   *)
-
 (** Adaptive timing: run [f] until at least [min_time] CPU-seconds have
     accumulated, return seconds per run. *)
 let time_runs ?(min_time = 0.3) (f : unit -> unit) : float =
@@ -213,72 +200,6 @@ let time_runs ?(min_time = 0.3) (f : unit -> unit) : float =
     if dt >= min_time then dt /. float_of_int n else go (n * 4)
   in
   go 1
-
-let run_perf () =
-  let module R = Exo_blis.Registry in
-  let machine = Exo_isa.Machine.carmel in
-  let kc = 512 and mr = 8 and nr = 12 in
-  Fmt.pr "Execution-engine benchmark: 8x12 f32 kernel, one call at kc=%d@." kc;
-  Fmt.pr "%s@." (String.make 78 '-');
-  let st = Random.State.make [| 42 |] in
-  let mk n = Array.init n (fun _ -> float_of_int (Random.State.int st 7 - 3)) in
-  let ac = mk (kc * mr) and bc = mk (kc * nr) in
-  let c0 = mk (nr * mr) in
-  let compiled = R.exo_ukr_closure () and interp = R.exo_ukr_interp () in
-  (* sanity: both engines produce the identical C tile *)
-  let c1 = Array.copy c0 and c2 = Array.copy c0 in
-  compiled ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c:c1;
-  interp ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c:c2;
-  if c1 <> c2 then failwith "perf: compiled and interpreted kernels disagree";
-  Fmt.pr "engines agree bit-exactly on the C tile@.";
-  let t_compiled =
-    time_runs (fun () ->
-        let c = Array.copy c0 in
-        compiled ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c)
-  in
-  let t_interp =
-    time_runs (fun () ->
-        let c = Array.copy c0 in
-        interp ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c)
-  in
-  let speedup = t_interp /. t_compiled in
-  Fmt.pr "tree-walking interpreter : %12.1f us/call@." (t_interp *. 1e6);
-  Fmt.pr "compiled closures        : %12.1f us/call@." (t_compiled *. 1e6);
-  Fmt.pr "speedup                  : %12.1fx %s@." speedup
-    (if speedup >= 10.0 then "(>= 10x: ok)" else "(below the 10x target!)");
-  (* tuner sweep: time fresh problems (distinct k) so the memo is cold *)
-  let k_base = ref 100 in
-  let t_sweep =
-    time_runs ~min_time:0.2 (fun () ->
-        incr k_base;
-        ignore (Exo_blis.Tuner.sweep machine ~m:784 ~n:512 ~k:!k_base))
-  in
-  Fmt.pr "tuner sweep (cold memo)  : %12.1f us/sweep@." (t_sweep *. 1e6);
-  let oc = open_out "BENCH_interp.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  %s,\n\
-    \  \"kernel\": \"uk_%dx%d_neon-f32\",\n\
-    \  \"kc\": %d,\n\
-    \  \"interpreted_us_per_call\": %.3f,\n\
-    \  \"compiled_us_per_call\": %.3f,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"tuner_sweep_cold_us\": %.3f\n\
-     }\n"
-    (meta_json ()) mr nr kc (t_interp *. 1e6) (t_compiled *. 1e6) speedup
-    (t_sweep *. 1e6);
-  close_out oc;
-  ledger_append ~bench:"perf"
-    [
-      Ledger.metric ~unit_:"us" Ledger.Lower "interp.compiled_us_per_call"
-        (t_compiled *. 1e6);
-      Ledger.metric ~unit_:"us" Ledger.Info "interp.interpreted_us_per_call"
-        (t_interp *. 1e6);
-      Ledger.metric ~unit_:"x" Ledger.Higher "interp.speedup" speedup;
-      Ledger.metric ~unit_:"us" Ledger.Lower "tuner.sweep_cold_us"
-        (t_sweep *. 1e6);
-    ];
-  Fmt.pr "wrote BENCH_interp.json@.@."
 
 (* ------------------------------------------------------------------ *)
 (* perf-sim: the simulation/sweep engine benchmark. Measures the        *)
@@ -415,12 +336,13 @@ let run_perf_sim ?(smoke = false) () =
   Fmt.pr "wrote BENCH_sim.json@.@."
 
 (* ------------------------------------------------------------------ *)
-(* perf-gemm: the executable GEMM path. Measures the three kernel tiers *)
-(* (closure engine, monomorphized Bigarray, native) on one 8x12 call at *)
-(* paper kc, times a full paper-scale GEMM through the macro-kernel     *)
-(* (validated exactly against naive f32 and the Bigarray bank, with     *)
-(* zero closure fallbacks demanded of the complete table), checks       *)
-(* bit-identical C at pool widths 1/2/4 over the (jc x ic) task grid —  *)
+(* perf-gemm: the executable GEMM path. Checks the Bigarray and native  *)
+(* kernel tiers bit-exact against the interpreter on one 8x12 call at   *)
+(* paper kc and times both, times a full paper-scale GEMM through the   *)
+(* macro-kernel (validated exactly against naive f32 and the Bigarray   *)
+(* bank, with zero interpreter fallbacks demanded of the complete       *)
+(* table), checks bit-identical C at pool widths 1/2/4 over the         *)
+(* (jc x ic) task grid —                                                *)
 (* including a small-n ResNet50 layer shape where jc alone is one task  *)
 (* — and runs a DNN workload slice through Gemm.batch_ba. Writes        *)
 (* BENCH_gemm.json; any numeric mismatch, fallback dispatch, or width   *)
@@ -436,21 +358,15 @@ let run_perf_gemm ?(smoke = false) () =
   Fmt.pr "Executable-GEMM benchmark%s@." (if smoke then " (smoke)" else "");
   Fmt.pr "%s@." (String.make 78 '-');
   (* 1. one micro-kernel call per tier at the paper blocking's kc, the
-     closure engine as the reference tile *)
+     interpreter as the reference tile *)
   let kc = if smoke then 128 else 512 in
   let mr = 8 and nr = 12 in
   let st = Random.State.make [| 42 |] in
   let mk n = Array.init n (fun _ -> float_of_int (Random.State.int st 7 - 3)) in
   let ac = mk (kc * mr) and bc = mk (kc * nr) in
   let c0 = mk (nr * mr) in
-  let closure = R.exo_ukr_closure () in
   let c1 = Array.copy c0 in
-  closure ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c:c1;
-  let t_closure =
-    time_runs ~min_time (fun () ->
-        let c = Array.copy c0 in
-        closure ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c)
-  in
+  R.exo_ukr_interp () ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c:c1;
   (* the monomorphized Bigarray tier on the same tile, through the real
      dispatch table (counting wrapper included) *)
   let table = R.exo_table ~mr ~nr () in
@@ -496,7 +412,7 @@ let run_perf_gemm ?(smoke = false) () =
   Array.iteri
     (fun i v ->
       if not (Float.equal (Bigarray.Array1.get c3 i) v) then
-        failwith "perf-gemm: Bigarray and closure kernels disagree")
+        failwith "perf-gemm: Bigarray and interpreted kernels disagree")
     c1;
   Fmt.pr "kernel tiers agree bit-exactly on the C tile@.";
   let t_ba =
@@ -504,7 +420,6 @@ let run_perf_gemm ?(smoke = false) () =
     time_runs ~min_time (fun () ->
         ba_ukr ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c ~co:0)
   in
-  let ba_speedup = t_closure /. t_ba in
   (* the serving table entry: JIT'd machine code when the native upgrade
      certified this host, the Bigarray executor otherwise *)
   let nat_info = table.R.t_native_info in
@@ -514,7 +429,7 @@ let run_perf_gemm ?(smoke = false) () =
   Array.iteri
     (fun i v ->
       if not (Float.equal (Bigarray.Array1.get c4 i) v) then
-        failwith "perf-gemm: serving (native) and closure kernels disagree")
+        failwith "perf-gemm: serving (native) and interpreted kernels disagree")
     c1;
   let t_native_ukr =
     let c = to_ba c0 in
@@ -525,10 +440,8 @@ let run_perf_gemm ?(smoke = false) () =
     (if nat_info.R.ni_enabled then "enabled" else "DEGRADED")
     nat_info.R.ni_target nat_info.R.ni_cc nat_info.R.ni_entries (mr * nr)
     nat_info.R.ni_reason;
-  Fmt.pr "closure engine     : %12.1f us/call@." (t_closure *. 1e6);
   Fmt.pr "monomorphized ba   : %12.1f us/call@." (t_ba *. 1e6);
   Fmt.pr "native jit         : %12.1f us/call@." (t_native_ukr *. 1e6);
-  Fmt.pr "speedup (bigarray) : %12.1fx vs closure@." ba_speedup;
   Fmt.pr "speedup (native)   : %12.1fx vs bigarray (per ukr call)@."
     (t_ba /. t_native_ukr);
   (* 2. a full paper-scale GEMM through the macro-kernel, validated exactly
@@ -549,15 +462,15 @@ let run_perf_gemm ?(smoke = false) () =
   R.reset_dispatch_counts ();
   let c_serial, t_serial = run_width 1 in
   (* the fallbacks-zero gate: with the complete monomorphized table no
-     tile of a full f32 GEMM may reach the closure engine *)
+     tile of a full f32 GEMM may reach the interpreter *)
   let fast_calls, fallback_calls = R.ukr_dispatch_counts () in
   let native_calls_run, ba_calls_run, _ = R.ukr_tier_counts () in
-  Fmt.pr "dispatch: %d monomorphized calls, %d closure fallbacks@." fast_calls
+  Fmt.pr "dispatch: %d monomorphized calls, %d interpreter fallbacks@." fast_calls
     fallback_calls;
   Fmt.pr "tier dispatch: %d native, %d bigarray, %d fallback@." native_calls_run
     ba_calls_run fallback_calls;
   if fallback_calls > 0 then
-    failwith "perf-gemm: closure-engine fallbacks fired on the full GEMM run";
+    failwith "perf-gemm: interpreter fallbacks fired on the full GEMM run";
   (* with the native tier serving, EVERY tile of the full GEMM must
      dispatch into machine code — a Bigarray call here means a hole in the
      upgraded bank *)
@@ -757,7 +670,7 @@ let run_perf_gemm ?(smoke = false) () =
   let _, phase2_fallback = R.ukr_dispatch_counts () in
   if phase2_fallback > 0 then
     failwith
-      "perf-gemm: closure-engine fallbacks fired in the sweep/batch phases";
+      "perf-gemm: interpreter fallbacks fired in the sweep/batch phases";
   (* 5. measured-vs-model attribution for the run ledger: the analytical
      kernel model's predicted solo GFLOPS and machine peak, the cache
      simulator's DRAM-traffic prediction under this blocking, and a traced
@@ -835,9 +748,7 @@ let run_perf_gemm ?(smoke = false) () =
     \  \"ukr\": {\n\
     \    \"kernel\": \"uk_%dx%d_neon-f32\",\n\
     \    \"kc\": %d,\n\
-    \    \"closure_us_per_call\": %.3f,\n\
-    \    \"bigarray_us_per_call\": %.3f,\n\
-    \    \"bigarray_speedup\": %.2f\n\
+    \    \"bigarray_us_per_call\": %.3f\n\
     \  },\n\
     \  \"native\": {\n\
     \    \"native_enabled\": %b,\n\
@@ -899,7 +810,7 @@ let run_perf_gemm ?(smoke = false) () =
     \    \"gflops\": %.4f\n\
     \  }\n\
      }\n"
-    (meta_json ()) smoke mr nr kc (t_closure *. 1e6) (t_ba *. 1e6) ba_speedup nat_info.R.ni_enabled nat_info.R.ni_target
+    (meta_json ()) smoke mr nr kc (t_ba *. 1e6) nat_info.R.ni_enabled nat_info.R.ni_target
     nat_info.R.ni_cc
     (match Exo_native.Host.isas () with
     | [] -> "generic"
@@ -1325,7 +1236,6 @@ let () =
     | "fig18" -> Experiments.fig18 ()
     | "ablation" -> Experiments.ablation ()
     | "bechamel" -> run_bechamel ()
-    | "perf" -> run_perf ()
     | "perf-sim" -> run_perf_sim ()
     | "perf-sim-smoke" -> run_perf_sim ~smoke:true ()
     | "perf-gemm" -> run_perf_gemm ()
@@ -1339,7 +1249,7 @@ let () =
         run_bechamel ()
     | other ->
         Fmt.epr
-          "unknown experiment %S (expected figNN, tabN, ablation, bechamel, perf, \
+          "unknown experiment %S (expected figNN, tabN, ablation, bechamel, \
            perf-sim[-smoke], perf-gemm[-smoke], perf-serve[-smoke], lint, all)@."
           other;
         exit 2

@@ -33,21 +33,19 @@ let machine = Exo_isa.Machine.carmel
 
 (* --- common arguments -------------------------------------------------- *)
 
+let kit_names = String.concat ", " (List.map (fun k -> k.Kits.name) Kits.all)
+
 let kit_conv =
   let parse s =
     match Kits.by_name s with
     | Some k -> Ok k
-    | None ->
-        Error
-          (`Msg
-             (Fmt.str "unknown kit %S (known: %s)" s
-                (String.concat ", " (List.map (fun k -> k.Kits.name) Kits.all))))
+    | None -> Error (`Msg (Fmt.str "unknown kit %S (known: %s)" s kit_names))
   in
   Arg.conv (parse, fun ppf k -> Fmt.string ppf k.Kits.name)
 
 let kit =
   Arg.(value & opt kit_conv Kits.neon_f32 & info [ "kit" ] ~docv:"KIT"
-         ~doc:"Target instruction kit: neon-f32, neon-f16, avx512-f32, rvv-f32.")
+         ~doc:("Target instruction kit: " ^ kit_names ^ "."))
 
 let mr = Arg.(value & opt int 8 & info [ "mr" ] ~docv:"MR" ~doc:"Kernel rows.")
 let nr = Arg.(value & opt int 12 & info [ "nr" ] ~docv:"NR" ~doc:"Kernel columns.")

@@ -5,9 +5,9 @@
     jc over n (nc), pc over k (kc, packing Bc), ic over m (mc, packing Ac),
     jr over nc (nr), ir over mc (mr). The micro-kernels come from a table
     the caller supplies, so the same macro code runs the native or
-    Bigarray-tier Exo-generated kernels, the closure engine, the
-    interpreter, or anything else — mirroring how the paper swaps
-    micro-kernels under one ALG+ implementation.
+    Bigarray-tier Exo-generated kernels, the interpreter, or anything
+    else — mirroring how the paper swaps micro-kernels under one ALG+
+    implementation.
 
     Pack buffers and the resident C block live in a per-domain {!workspace}
     arena (no allocation in steady state), C is moved over unsafe accesses

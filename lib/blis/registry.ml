@@ -5,22 +5,19 @@
 
     - [EXO]: the generated family — one specialized kernel per (mr, nr),
       produced on demand by {!Exo_ukr_gen.Family} and cached; numerics run
-      the native or Bigarray tier, with the compiled closure engine and the
-      interpreter as references.
+      the native or Bigarray tier, with the interpreter as the reference
+      and as the non-f32 fallback.
     - [BLIS]: the monolithic 8×12 assembly kernel model (fringe logic,
       prefetch-capable).
     - [NEON]: the monolithic 8×12 hand-written-intrinsics kernel model
       (fringe logic, compiler-scheduled).
 
     Domain-safety: generated kernels are immutable IR values, so one
-    process-wide {!Exo_par.Memo} serves every domain. Compiled kernels
-    ({!Exo_interp.Compile.t}) are NOT re-entrant — each carries a mutable
-    argument frame and fused-loop plan cells — so the compiled cache is
-    per-domain ([Domain.DLS]): each domain compiles its own closure once
-    and reuses it freely. The monomorphized Bigarray table is the
-    exception: its executors are re-entrant (per-call accumulators), so
-    one immutable table per (kit, mr, nr) is built once and shared by
-    every domain.
+    process-wide {!Exo_par.Memo} serves every domain. Every table entry is
+    re-entrant — the Bigarray and native executors allocate their
+    accumulators per call, and the interpreter keeps no state between
+    runs — so one immutable table per (kit, mr, nr) is built once and
+    shared by every domain.
 
     Persistence: when an {!Exo_cache.Store} is ambient, table entries are
     hydrated from their serialized artifacts — skipping the
@@ -46,23 +43,6 @@ let exo_kernel ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () : Family.kernel
       (* persistent read-through: a warm ambient store answers from disk *)
       Family.generate_cached ~kit ~mr ~nr ())
 
-(* Compile-once/run-many: the closure-compiled form of each generated
-   kernel, cached alongside the IR so every micro-kernel call after the
-   first is a plain closure invocation. Per-domain — see the module
-   header. *)
-let compiled_key : (string * int * int, C.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
-let exo_compiled ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () : C.t =
-  let tbl = Domain.DLS.get compiled_key in
-  let key = (kit.Kits.name, mr, nr) in
-  match Hashtbl.find_opt tbl key with
-  | Some c -> c
-  | None ->
-      let c = C.compile (exo_kernel ~kit ~mr ~nr ()).Family.proc in
-      Hashtbl.replace tbl key c;
-      c
-
 (** Model impl for a generated kernel. *)
 let exo_impl ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () : KM.impl =
   let k = exo_kernel ~kit ~mr ~nr () in
@@ -82,7 +62,7 @@ let neon_impl ?kit () : KM.impl = KM.neon_intrinsics_8x12 (base_8x12 ?kit ())
 let ones_buf = B.of_array Exo_ir.Dtype.F32 [ 1 ] [| 1.0 |]
 
 (* Zero-copy offset view over a caller array (row-major, dims as given):
-   how the engine paths see an arena panel starting at [offset]. *)
+   how the interpreter sees an arena panel starting at [offset]. *)
 let view dt (data : float array) (dims : int list) (offset : int) : B.t =
   let dims = Array.of_list dims in
   let n = Array.length dims in
@@ -107,15 +87,9 @@ let tile_args dt ~kc ~mr ~nr ~ac ~ao ~bc ~bo ~c =
     I.VBuf (view dt c [ nr; mr ] 0);
   ]
 
-(** Run a generated kernel on a packed tile through the compiled closure
-    engine, binding the caller's arrays as zero-copy buffer views. *)
-let exo_ukr_closure ?(kit = Kits.neon_f32) () : tile =
- fun ~kc ~mr ~nr ~ac ~ao ~bc ~bo ~c ->
-  C.run (exo_compiled ~kit ~mr ~nr ())
-    (tile_args kit.Kits.dt ~kc ~mr ~nr ~ac ~ao ~bc ~bo ~c)
-
-(** The same tile run through the tree-walking interpreter — the
-    definitional oracle, kept for cross-checking the compiled paths. *)
+(** Run a generated kernel on a packed tile through the tree-walking
+    interpreter, binding the caller's arrays as zero-copy buffer views —
+    the definitional oracle the faster tiers are certified against. *)
 let exo_ukr_interp ?(kit = Kits.neon_f32) () : tile =
  fun ~kc ~mr ~nr ~ac ~ao ~bc ~bo ~c ->
   I.run (exo_kernel ~kit ~mr ~nr ()).Family.proc
@@ -208,7 +182,7 @@ type native_info = {
     [(mr'-1)·nr + nr'-1]. Entries the Bigarray tier certified are direct
     monomorphized executors (upgraded in place to JIT'd machine code where
     the native tier certified); the rest ([t_fast] false — only non-f32
-    kits today) copy through the closure engine and count as fallbacks. *)
+    kits today) copy through the interpreter and count as fallbacks. *)
 type table = {
   t_kit : Kits.t;
   t_mr : int;
@@ -250,12 +224,12 @@ let count_native (u : C.ukr_ba) : C.ukr_ba =
   if Obs.enabled () then Obs.incr obs_native;
   u ~kc ~ac ~ao ~bc ~bo ~c ~co
 
-(* Hole filler: the closure engine behind a float-array round trip. Correct
-   for every kit (integer-domain exact, like the engines themselves) but
+(* Hole filler: the interpreter behind a float-array round trip. Correct
+   for every kit (integer-domain exact, like the interpreter itself) but
    slow — its call count is what the bench's fallbacks-zero gate pins at 0
    for f32 runs. *)
 let fallback_entry ~(kit : Kits.t) ~(mr : int) ~(nr : int) : C.ukr_ba =
-  let u = tile_entry (exo_ukr_closure ~kit ()) ~mr ~nr in
+  let u = tile_entry (exo_ukr_interp ~kit ()) ~mr ~nr in
   fun ~kc ~ac ~ao ~bc ~bo ~c ~co ->
     Atomic.incr fallback_calls;
     if Obs.enabled () then Obs.incr obs_fallback;
@@ -579,7 +553,7 @@ let native_emit ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () :
 
 (* One immutable table per (kit, mr, nr) for the whole process. Entries
    are re-entrant (executors allocate their accumulator per call; the
-   fallback resolves its per-domain engine at call time), so every domain
+   interpreter fallback keeps no state between runs), so every domain
    of a pool shares the same entry array — no per-domain rebuilds. *)
 let table_memo : (string * int * int, table) Memo.t = Memo.create ()
 
@@ -662,12 +636,11 @@ let exo_table ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () : table =
 
 (** Forget every memoized kernel and table so the next {!exo_table} call
     exercises the cold path — the bench's cold/warm A-B harness and the
-    cache tests need a genuine rebuild inside one process. Also resets the
-    calling domain's compiled-closure caches. Not for production paths. *)
+    cache tests need a genuine rebuild inside one process. Not for
+    production paths. *)
 let clear_memos_for_bench () =
   Memo.clear cache;
-  Memo.clear table_memo;
-  Hashtbl.reset (Domain.DLS.get compiled_key)
+  Memo.clear table_memo
 
 (** The {!Gemm.blis_ba} [kernels] thunk: called once per pool task, it
     resolves the shared table (building it on first use) and hands back

@@ -7,14 +7,6 @@
 val exo_kernel :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit -> Exo_ukr_gen.Family.kernel
 
-(** The closure-compiled form of a generated kernel — the engine behind
-    {!exo_ukr_closure} and the non-f32 table entries. Compiled once per
-    (kit, mr, nr) PER DOMAIN
-    and cached in domain-local storage: a compiled kernel carries a mutable
-    argument frame and is not re-entrant across domains. *)
-val exo_compiled :
-  ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit -> Exo_interp.Compile.t
-
 (** Model impl for a generated kernel. *)
 val exo_impl :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit -> Exo_sim.Kernel_model.impl
@@ -34,17 +26,15 @@ type tile =
   kc:int -> mr:int -> nr:int -> ac:float array -> ao:int -> bc:float array ->
   bo:int -> c:float array -> unit
 
-(** A generated kernel through the compiled closure engine — the reference
-    the faster tiers are certified and measured against. *)
-val exo_ukr_closure : ?kit:Exo_ukr_gen.Kits.t -> unit -> tile
-
-(** The same numerics through the tree-walking interpreter — the
-    definitional oracle, kept for cross-checks and speedup measurement. *)
+(** A generated kernel through the tree-walking interpreter — the
+    definitional oracle the faster tiers are certified against, and the
+    engine behind the non-f32 table entries. Stateless, so one tile
+    function is safe to call from every domain. *)
 val exo_ukr_interp : ?kit:Exo_ukr_gen.Kits.t -> unit -> tile
 
 (** A {!Gemm.blis_ba} kernel table over a tile function: mr·nr entries that
-    copy their Bigarray operands through float arrays — how the reference
-    engines drive the same macro-kernel as the fast tiers. *)
+    copy their Bigarray operands through float arrays — how the
+    interpreter drives the same macro-kernel as the fast tiers. *)
 val tile_bank :
   tile -> mr:int -> nr:int -> unit -> Exo_interp.Compile.ukr_ba array
 
@@ -53,7 +43,7 @@ val tile_bank :
     The Bigarray tier: one {!Exo_interp.Compile.ukr_ba} per
     (mr', nr') with mr' ∈ 1..mr, nr' ∈ 1..nr, flat at index
     [(mr'-1)·nr + nr'-1], so fringe macro-kernel calls dispatch by plain
-    array indexing and never fall back to the closure engine. Built once
+    array indexing and never fall back to the interpreter. Built once
     per (kit, mr, nr) for the whole process and shared by every domain —
     the executors are re-entrant (per-call accumulators), so repeated
     {!exo_table} calls return the physically same table from any domain.
@@ -89,7 +79,7 @@ type table = {
           certification oracle and the bench's A-B baseline *)
   t_fast : bool array;
       (** per entry: certified monomorphized executor (true) or a counting
-          closure-engine round-trip (false — only non-f32 kits today) *)
+          interpreter round-trip (false — only non-f32 kits today) *)
   t_proved : bool array;
       (** per entry: the static {!Exo_check.Tierlint} verdict of its
           lowered tape (bounds, write-set containment and accumulation
@@ -105,7 +95,7 @@ type table = {
 val exo_table :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit -> table
 
-(** Entries served by the closure-engine round-trip; 0 for the f32 kits. *)
+(** Entries served by the interpreter round-trip; 0 for the f32 kits. *)
 val table_holes : table -> int
 
 val table_complete : table -> bool
@@ -140,8 +130,8 @@ val native_emit :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit ->
   (Exo_codegen.C_emit.native_target * string) option
 
-(** Forget every memoized kernel, table and compiled closure (calling
-    domain) so the next {!exo_table} exercises the cold path — for the
+(** Forget every memoized kernel and table so the next {!exo_table}
+    exercises the cold path — for the
     bench's cold/warm A-B harness and the cache tests only. *)
 val clear_memos_for_bench : unit -> unit
 

@@ -2,7 +2,7 @@
 
     The Bigarray tier ({!Exo_interp.Compile.to_ukr_ba}) runs [unsafe]
     accesses behind one hoisted range check, which a dynamic certificate
-    alone (integer probes against the closure engine) cannot justify for
+    alone (integer probes against the interpreter) cannot justify for
     every input. This module is a static validator over the auditable
     {!Exo_interp.Compile.Summary} the lowering emits: the summary's affine addresses are evaluated in the
     affine-interval domain of the {!Effects} region algebra, with the
@@ -53,5 +53,5 @@ val check : Exo_interp.Compile.Summary.t -> report
     the statically computed write-set, enumerable because every store
     address is affine in [k] with constant coefficients. The qcheck oracle
     pins this against the touched-index set observed dynamically from the
-    closure engine. Sorted, duplicate-free. *)
+    interpreter. Sorted, duplicate-free. *)
 val c_write_indices : Exo_interp.Compile.Summary.t -> kc:int -> int list

@@ -52,7 +52,8 @@ let of_array (dtype : Dtype.t) (dims : int list) (data : float array) : t =
 let rank (b : t) = Array.length b.dims
 let size (b : t) = Array.fold_left ( * ) 1 b.dims
 
-(** Round a value through the buffer's dtype. *)
+(** Round a value through a dtype (f32 via bit truncation, f16 via
+    {!F16.round}, integers with C cast semantics). *)
 let round_dtype (dt : Dtype.t) (v : float) : float =
   match dt with
   | Dtype.F64 -> v

@@ -25,10 +25,6 @@ val of_array : Exo_ir.Dtype.t -> int list -> float array -> t
 val rank : t -> int
 val size : t -> int
 
-(** Round a value through a dtype (f32 via bit truncation, f16 via
-    {!F16.round}, integers with C cast semantics). *)
-val round_dtype : Exo_ir.Dtype.t -> float -> float
-
 val get : t -> int array -> float
 
 (** Write, rounding through the buffer's dtype. *)

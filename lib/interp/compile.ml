@@ -1,121 +1,16 @@
-(** Compile-once/run-many execution engine.
+(** Micro-kernel tape lowering and the Bigarray execution tier.
 
-    Lowers an {!Exo_ir.Ir.proc} to nested OCaml closures so that the repeated
-    evaluations the paper's methodology relies on — tuner sweeps, equivalence
-    checks, real-numerics GEMM tiles — stop re-walking the IR tree:
-
-    - every symbol is resolved at compile time to an integer slot in a flat
-      frame (no [Sym.Map] lookups at runtime);
-    - expressions are statically sorted into integer and float paths, so no
-      boxed [num] values are allocated during execution;
-    - buffer accesses are specialized by arity and compute their flat element
-      address directly against the buffer's strides (no per-access index
-      lists or arrays);
-    - instruction calls are {e inlined}: the callee's semantic body is
-      compiled against the call site, window arguments become views — an
-      offset and per-dimension extent/stride integers written into caller
-      frame slots, no [Buffer.t] is allocated per call — and the callee's
-      preconditions run in a once-per-call prologue;
-    - innermost loops whose body is a single assign/reduce with loop-constant
-      strides (exactly the shape of every ISA instruction's semantic body)
-      are fused: after an entry-time resolution that re-checks every bounds
-      condition the interpreter would check, the loop runs as a tight
-      float-array kernel with pre-flattened addresses.
-
-    Runtime behaviour is observationally identical to {!Interp}: the same
-    per-dtype rounding on every write, the same bounds and precondition
-    checks, the same evaluation strategy. Whenever a fast path cannot
-    reproduce the interpreter's behaviour exactly (a rank mismatch, an
-    out-of-bounds index, an unsupported expression shape) the compiled code
-    falls back to the general closure path, which raises the interpreter's
-    errors verbatim. A qcheck property in the test suite asserts bit-identical
-    output buffers against the tree-walking interpreter, which stays in the
-    repository as the definitional oracle. *)
+    The generated micro-kernel is symbolically executed once ({!Ukr_lower})
+    into a tape of straight-line memory operations with addresses affine in
+    the k-loop counter. That tape is the auditable {!Summary} the static
+    certifier ({!Exo_check.Tierlint}) proves, and it decides whether a proc
+    enters the Bigarray tier: a monomorphized OCaml loop nest over float32
+    Bigarrays, specialized to (mr, nr). The tree-walking {!Interp} is the
+    reference semantics: the integer probe that certifies an unproved proc
+    runs it, and procs this tier refuses run it too. *)
 
 open Exo_ir
 open Ir
-
-let rerr fmt = Fmt.kstr (fun s -> raise (Interp.Runtime_error s)) fmt
-let berr fmt = Fmt.kstr (fun s -> raise (Buffer.Bounds s)) fmt
-
-(* ------------------------------------------------------------------ *)
-(* Frames and compile-time slot assignment                             *)
-
-(** Runtime frame: integer bindings (sizes, indices, loop variables, window
-    geometry) live in [ints], tensors/scalars in [bufs]; a binder's slot
-    index is fixed at compile time. *)
-type frame = { ints : int array; bufs : Buffer.t array }
-
-(** A window argument of an inlined call: the backing buffer's slot plus the
-    slots holding the view's offset and per-dimension extents and strides.
-    The view's rank is static (window specs have a fixed shape); only the
-    integers inside are per-call. *)
-type view = {
-  v_data : int;  (** [bufs] slot of the backing buffer *)
-  v_off : int;  (** [ints] slot of the flat offset *)
-  v_dims : int array;  (** [ints] slots of the extents *)
-  v_strides : int array;  (** [ints] slots of the strides *)
-}
-
-type slot =
-  | SInt of int
-  | SConst of int  (** integer argument of an inlined call that is a literal *)
-  | SBuf of int
-  | SView of view
-
-type ctx = {
-  slots : slot Sym.Tbl.t;
-  mutable nints : int;
-  mutable nbufs : int;
-}
-
-let new_ctx () = { slots = Sym.Tbl.create 16; nints = 0; nbufs = 0 }
-
-(** Reserve an anonymous integer slot (window geometry of inlined calls). *)
-let alloc_int ctx =
-  let i = ctx.nints in
-  ctx.nints <- i + 1;
-  i
-
-let bind_int ctx v =
-  let i = alloc_int ctx in
-  Sym.Tbl.replace ctx.slots v (SInt i);
-  i
-
-let bind_buf ctx v =
-  let i = ctx.nbufs in
-  ctx.nbufs <- i + 1;
-  Sym.Tbl.replace ctx.slots v (SBuf i);
-  i
-
-(* Placeholder for buffer slots that have not been bound yet. *)
-let dummy_buf = Buffer.create ~init:0.0 Dtype.F32 []
-
-let mk_frame ~nints ~nbufs =
-  { ints = Array.make (max nints 1) 0; bufs = Array.make (max nbufs 1) dummy_buf }
-
-(** Fetch-closure for a buffer-valued symbol. A view is materialized into a
-    fresh [Buffer.t] (only general/fallback paths do this — hot paths read
-    the view slots directly). Unbound or integer-valued symbols compile to
-    raising closures, preserving the interpreter's lazy runtime errors on
-    ill-formed (dead) code. *)
-let cbuf ctx (b : Sym.t) : frame -> Buffer.t =
-  match Sym.Tbl.find_opt ctx.slots b with
-  | Some (SBuf i) -> fun f -> f.bufs.(i)
-  | Some (SView v) ->
-      fun f ->
-        let base = f.bufs.(v.v_data) in
-        {
-          base with
-          Buffer.offset = f.ints.(v.v_off);
-          dims = Array.map (fun s -> f.ints.(s)) v.v_dims;
-          strides = Array.map (fun s -> f.ints.(s)) v.v_strides;
-        }
-  | Some (SInt _ | SConst _) -> fun _ -> rerr "expected a buffer"
-  | None -> fun _ -> rerr "unbound symbol %a at runtime" Sym.pp_debug b
-
-(* ------------------------------------------------------------------ *)
-(* Static expression sorts                                             *)
 
 (** The interpreter's [num] tag is statically determined: [Var] only ever
     holds integers (buffers read through [Read]), [Read] always yields data.
@@ -126,1085 +21,6 @@ let rec is_int (e : expr) : bool =
   | Float _ | Read _ -> false
   | Neg a -> is_int a
   | Binop (_, a, b) -> is_int a && is_int b
-
-let rec mentions v (e : expr) : bool =
-  match e with
-  | Var u -> Sym.equal u v
-  | Int _ | Float _ -> false
-  | Stride (b, _) -> Sym.equal b v
-  | Neg a | Not a -> mentions v a
-  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
-      mentions v a || mentions v b
-  | Read (b, idx) -> Sym.equal b v || List.exists (mentions v) idx
-
-let rec has_read (e : expr) : bool =
-  match e with
-  | Read _ -> true
-  | Int _ | Float _ | Var _ | Stride _ -> false
-  | Neg a | Not a -> has_read a
-  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
-      has_read a || has_read b
-
-(* ------------------------------------------------------------------ *)
-(* Fused-loop plans                                                    *)
-
-(** One array leaf of a fused loop: at loop entry [resolve] (stored
-    separately) re-establishes the backing array, the flat address at loop
-    counter 0, and the per-iteration address step, re-checking every bound
-    the general path would check. *)
-type lplan = {
-  mutable lp_data : float array;
-  mutable lp_base : int;
-  mutable lp_step : int;
-  mutable lp_dt : Dtype.t;
-}
-
-(** How one access dimension depends on the fused loop counter: indexed by
-    the counter itself, or loop-invariant (closure evaluated at entry). *)
-type lkind = LI | LInv of (frame -> int)
-
-(** RHS of a fusable statement, as a tree over the loop counter. Leaves are
-    live per-element array reads (so source/destination aliasing behaves
-    exactly like the general path); constants are loop-invariant read-free
-    subexpressions hoisted to an entry-time cell. The common instruction-body
-    shapes (copy, scale, multiply-accumulate) get dedicated loop runners. *)
-type fnode =
-  | FLeaf of lplan
-  | FIdx  (** the loop counter itself, as data *)
-  | FConst of float ref
-  | FBin of binop * fnode * fnode
-  | FNeg of fnode
-
-(** Exactly {!Buffer.round_dtype}[ F32], locally inlinable: the unboxed
-    external pair keeps the hot loops allocation-free. *)
-let f32_round (x : float) : float = Int32.float_of_bits (Int32.bits_of_float x)
-
-(* ------------------------------------------------------------------ *)
-(* Compiled procedures (general call path)                             *)
-
-type pslot = PInt of int | PBuf of int
-
-(** A compiled procedure: frame geometry, parameter slots in signature
-    order, compiled preconditions (with their sources, for error messages),
-    and the compiled body. *)
-type cproc = {
-  cp_nints : int;
-  cp_nbufs : int;
-  cp_params : pslot array;
-  cp_preds : (frame -> bool) array;
-  cp_pred_srcs : expr array;
-  cp_body : frame -> unit;
-}
-
-(* Instruction procs are shared global constants; memoize their general-path
-   compilation (by physical identity) so the call sites {!cinline} declines
-   reuse one compiled body. Top-level [compile] entries are NOT memoized
-   here, so compiling many ephemeral procs (property tests) cannot grow this
-   table. Domain-local: a [cproc] closes over mutable plan cells, so each
-   domain compiles its own copy (a handful of tiny instruction bodies)
-   rather than sharing non-re-entrant closures across domains. *)
-let instr_cache : (proc * cproc) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-(* ------------------------------------------------------------------ *)
-(* Expression compilation                                              *)
-
-let rec cint ctx (e : expr) : frame -> int =
-  if not (is_int e) then (
-    (* the interpreter evaluates first (possibly raising Bounds), then
-       rejects the float *)
-    let g = cflt ctx e in
-    fun f ->
-      ignore (g f);
-      rerr "expected an integer, got a float in %s" (Pp.expr_to_string e))
-  else
-    match e with
-    | Int n -> fun _ -> n
-    | Var v -> (
-        match Sym.Tbl.find_opt ctx.slots v with
-        | Some (SInt i) -> fun f -> f.ints.(i)
-        | Some (SConst n) -> fun _ -> n
-        | Some (SBuf _ | SView _) ->
-            fun _ -> rerr "buffer %a used as a scalar" Sym.pp v
-        | None -> fun _ -> rerr "unbound symbol %a at runtime" Sym.pp_debug v)
-    | Stride (b, d) -> (
-        match Sym.Tbl.find_opt ctx.slots b with
-        | Some (SView v) ->
-            let n = Array.length v.v_strides in
-            if d < 0 || d >= n then fun _ ->
-              rerr "stride dimension %d out of range" d
-            else
-              let s = v.v_strides.(d) in
-              fun f -> f.ints.(s)
-        | _ ->
-            let bc = cbuf ctx b in
-            fun f ->
-              let buf = bc f in
-              let n = Buffer.rank buf in
-              if d < 0 || d >= n then rerr "stride dimension %d out of range" d;
-              buf.Buffer.strides.(d))
-    | Binop (op, a, b) -> (
-        let fa = cint ctx a and fb = cint ctx b in
-        match op with
-        | Add -> fun f -> fa f + fb f
-        | Sub -> fun f -> fa f - fb f
-        | Mul -> fun f -> fa f * fb f
-        | Div ->
-            fun f ->
-              let x = fa f and y = fb f in
-              if y = 0 then rerr "division by zero";
-              x / y
-        | Mod ->
-            fun f ->
-              let x = fa f and y = fb f in
-              if y = 0 then rerr "modulo by zero";
-              x mod y)
-    | Neg a ->
-        let fa = cint ctx a in
-        fun f -> -fa f
-    | Cmp (op, a, b) ->
-        let cmp =
-          if is_int a && is_int b then
-            let fa = cint ctx a and fb = cint ctx b in
-            fun f -> compare (fa f) (fb f)
-          else
-            let fa = cflt ctx a and fb = cflt ctx b in
-            fun f -> Float.compare (fa f) (fb f)
-        in
-        (match op with
-        | Lt -> fun f -> if cmp f < 0 then 1 else 0
-        | Le -> fun f -> if cmp f <= 0 then 1 else 0
-        | Gt -> fun f -> if cmp f > 0 then 1 else 0
-        | Ge -> fun f -> if cmp f >= 0 then 1 else 0
-        | Eq -> fun f -> if cmp f = 0 then 1 else 0
-        | Ne -> fun f -> if cmp f <> 0 then 1 else 0)
-    | And (a, b) ->
-        let fa = cbool ctx a and fb = cbool ctx b in
-        fun f -> if fa f && fb f then 1 else 0
-    | Or (a, b) ->
-        let fa = cbool ctx a and fb = cbool ctx b in
-        fun f -> if fa f || fb f then 1 else 0
-    | Not a ->
-        let fa = cbool ctx a in
-        fun f -> if fa f then 0 else 1
-    | Float _ | Read _ -> assert false (* not is_int *)
-
-(** Booleans compile natively (no 0/1 round-trip): comparisons branch
-    directly, connectives short-circuit. Semantics match {!cint}'s encoding
-    exactly — float comparisons go through [Float.compare], so NaN ordering
-    is identical. *)
-and cbool ctx (e : expr) : frame -> bool =
-  match e with
-  | Cmp (op, a, b) when is_int a && is_int b -> (
-      let fa = cint ctx a and fb = cint ctx b in
-      match op with
-      | Lt -> fun f -> fa f < fb f
-      | Le -> fun f -> fa f <= fb f
-      | Gt -> fun f -> fa f > fb f
-      | Ge -> fun f -> fa f >= fb f
-      | Eq -> fun f -> fa f = fb f
-      | Ne -> fun f -> fa f <> fb f)
-  | Cmp (op, a, b) -> (
-      let fa = cflt ctx a and fb = cflt ctx b in
-      match op with
-      | Lt -> fun f -> Float.compare (fa f) (fb f) < 0
-      | Le -> fun f -> Float.compare (fa f) (fb f) <= 0
-      | Gt -> fun f -> Float.compare (fa f) (fb f) > 0
-      | Ge -> fun f -> Float.compare (fa f) (fb f) >= 0
-      | Eq -> fun f -> Float.compare (fa f) (fb f) = 0
-      | Ne -> fun f -> Float.compare (fa f) (fb f) <> 0)
-  | And (a, b) ->
-      let fa = cbool ctx a and fb = cbool ctx b in
-      fun f -> fa f && fb f
-  | Or (a, b) ->
-      let fa = cbool ctx a and fb = cbool ctx b in
-      fun f -> fa f || fb f
-  | Not a ->
-      let fa = cbool ctx a in
-      fun f -> not (fa f)
-  | Int n ->
-      let b = n <> 0 in
-      fun _ -> b
-  | _ ->
-      let g = cint ctx e in
-      fun f -> g f <> 0
-
-and cflt ctx (e : expr) : frame -> float =
-  if is_int e then (
-    let g = cint ctx e in
-    fun f -> float_of_int (g f))
-  else
-    match e with
-    | Float x -> fun _ -> x
-    | Read (b, idx) -> (
-        match Sym.Tbl.find_opt ctx.slots b with
-        | Some (SView v) ->
-            let ad = cvaddr ctx v idx in
-            fun f -> f.bufs.(v.v_data).Buffer.data.(ad f)
-        | _ ->
-            let bc = cbuf ctx b and ad = caddr ctx idx in
-            fun f ->
-              let buf = bc f in
-              buf.Buffer.data.(ad buf f))
-    | Binop (op, a, b) -> (
-        let fa = cflt ctx a and fb = cflt ctx b in
-        match op with
-        | Add -> fun f -> fa f +. fb f
-        | Sub -> fun f -> fa f -. fb f
-        | Mul -> fun f -> fa f *. fb f
-        | Div -> fun f -> fa f /. fb f
-        | Mod ->
-            fun f ->
-              ignore (fa f);
-              ignore (fb f);
-              rerr "%% on data values")
-    | Neg a ->
-        let fa = cflt ctx a in
-        fun f -> -.(fa f)
-    | Int _ | Var _ | Stride _ | Cmp _ | And _ | Or _ | Not _ ->
-        assert false (* is_int *)
-
-(** Flat element address of [buf[idx]], specialized by arity so no index
-    array is materialized; same bounds discipline as {!Buffer.addr}. *)
-and caddr ctx (idx : expr list) : Buffer.t -> frame -> int =
-  let oob i d ext = berr "index %d out of bounds for dimension %d (extent %d)" i d ext in
-  let rank_mismatch n r = berr "rank mismatch: %d indices for rank %d" n r in
-  match List.map (cint ctx) idx with
-  | [] ->
-      fun buf _ ->
-        if Buffer.rank buf <> 0 then rank_mismatch 0 (Buffer.rank buf);
-        buf.Buffer.offset
-  | [ i0 ] ->
-      fun buf f ->
-        if Buffer.rank buf <> 1 then rank_mismatch 1 (Buffer.rank buf);
-        let x0 = i0 f in
-        if x0 < 0 || x0 >= buf.Buffer.dims.(0) then oob x0 0 buf.Buffer.dims.(0);
-        buf.Buffer.offset + (x0 * buf.Buffer.strides.(0))
-  | [ i0; i1 ] ->
-      fun buf f ->
-        if Buffer.rank buf <> 2 then rank_mismatch 2 (Buffer.rank buf);
-        let x0 = i0 f in
-        if x0 < 0 || x0 >= buf.Buffer.dims.(0) then oob x0 0 buf.Buffer.dims.(0);
-        let x1 = i1 f in
-        if x1 < 0 || x1 >= buf.Buffer.dims.(1) then oob x1 1 buf.Buffer.dims.(1);
-        buf.Buffer.offset + (x0 * buf.Buffer.strides.(0)) + (x1 * buf.Buffer.strides.(1))
-  | [ i0; i1; i2 ] ->
-      fun buf f ->
-        if Buffer.rank buf <> 3 then rank_mismatch 3 (Buffer.rank buf);
-        let x0 = i0 f in
-        if x0 < 0 || x0 >= buf.Buffer.dims.(0) then oob x0 0 buf.Buffer.dims.(0);
-        let x1 = i1 f in
-        if x1 < 0 || x1 >= buf.Buffer.dims.(1) then oob x1 1 buf.Buffer.dims.(1);
-        let x2 = i2 f in
-        if x2 < 0 || x2 >= buf.Buffer.dims.(2) then oob x2 2 buf.Buffer.dims.(2);
-        buf.Buffer.offset
-        + (x0 * buf.Buffer.strides.(0))
-        + (x1 * buf.Buffer.strides.(1))
-        + (x2 * buf.Buffer.strides.(2))
-  | cs ->
-      let cs = Array.of_list cs in
-      let n = Array.length cs in
-      fun buf f ->
-        if Buffer.rank buf <> n then rank_mismatch n (Buffer.rank buf);
-        let a = ref buf.Buffer.offset in
-        for d = 0 to n - 1 do
-          let x = cs.(d) f in
-          if x < 0 || x >= buf.Buffer.dims.(d) then oob x d buf.Buffer.dims.(d);
-          a := !a + (x * buf.Buffer.strides.(d))
-        done;
-        !a
-
-(** Flat element address of a view access, reading geometry from the caller
-    frame's integer slots; same checks and messages as {!caddr}. *)
-and cvaddr ctx (v : view) (idx : expr list) : frame -> int =
-  let oob i d ext = berr "index %d out of bounds for dimension %d (extent %d)" i d ext in
-  let n = Array.length v.v_dims in
-  let m = List.length idx in
-  if m <> n then fun _ -> berr "rank mismatch: %d indices for rank %d" m n
-  else
-    let off = v.v_off in
-    match List.map (cint ctx) idx with
-    | [] -> fun f -> f.ints.(off)
-    | [ i0 ] ->
-        let d0 = v.v_dims.(0) and s0 = v.v_strides.(0) in
-        fun f ->
-          let x0 = i0 f in
-          let e0 = f.ints.(d0) in
-          if x0 < 0 || x0 >= e0 then oob x0 0 e0;
-          f.ints.(off) + (x0 * f.ints.(s0))
-    | [ i0; i1 ] ->
-        let d0 = v.v_dims.(0) and s0 = v.v_strides.(0) in
-        let d1 = v.v_dims.(1) and s1 = v.v_strides.(1) in
-        fun f ->
-          let x0 = i0 f in
-          let e0 = f.ints.(d0) in
-          if x0 < 0 || x0 >= e0 then oob x0 0 e0;
-          let x1 = i1 f in
-          let e1 = f.ints.(d1) in
-          if x1 < 0 || x1 >= e1 then oob x1 1 e1;
-          f.ints.(off) + (x0 * f.ints.(s0)) + (x1 * f.ints.(s1))
-    | cs ->
-        let cs = Array.of_list cs in
-        fun f ->
-          let a = ref f.ints.(off) in
-          for d = 0 to n - 1 do
-            let x = cs.(d) f in
-            let e = f.ints.(v.v_dims.(d)) in
-            if x < 0 || x >= e then oob x d e;
-            a := !a + (x * f.ints.(v.v_strides.(d)))
-          done;
-          !a
-
-(* ------------------------------------------------------------------ *)
-(* Windows                                                             *)
-
-(** Compile a window into a view-building closure (the runtime half of
-    {!Buffer.view}, with the index closures pre-compiled). General path:
-    allocates a fresh [Buffer.t] per call. *)
-and cwindow ctx (w : window) : frame -> Buffer.t =
-  let bc = cbuf ctx w.wbuf in
-  let spec =
-    Array.of_list
-      (List.map
-         (function
-           | Pt e -> `P (cint ctx e)
-           | Iv (lo, hi) -> `I (cint ctx lo, cint ctx hi))
-         w.widx)
-  in
-  let out_rank =
-    Array.fold_left (fun n s -> match s with `I _ -> n + 1 | `P _ -> n) 0 spec
-  in
-  fun f ->
-    let buf = bc f in
-    if Array.length spec <> Buffer.rank buf then
-      berr "window rank mismatch on a rank-%d buffer" (Buffer.rank buf);
-    let offset = ref buf.Buffer.offset in
-    let dims = Array.make out_rank 0 and strides = Array.make out_rank 0 in
-    let od = ref 0 in
-    Array.iteri
-      (fun d s ->
-        match s with
-        | `P g ->
-            let i = g f in
-            if i < 0 || i >= buf.Buffer.dims.(d) then
-              berr "window point %d out of bounds in dimension %d (extent %d)" i d
-                buf.Buffer.dims.(d);
-            offset := !offset + (i * buf.Buffer.strides.(d))
-        | `I (glo, ghi) ->
-            let lo = glo f in
-            let len = ghi f - lo in
-            if lo < 0 || len < 0 || lo + len > buf.Buffer.dims.(d) then
-              berr "window [%d, %d) out of bounds in dimension %d (extent %d)" lo
-                (lo + len) d buf.Buffer.dims.(d);
-            offset := !offset + (lo * buf.Buffer.strides.(d));
-            dims.(!od) <- len;
-            strides.(!od) <- buf.Buffer.strides.(d);
-            incr od)
-      spec;
-    { buf with Buffer.offset = !offset; dims; strides }
-
-(** Compile a window of an inlined call into (a) an action that, per call,
-    computes the view's offset/extent/stride integers into freshly reserved
-    caller-frame slots — with exactly {!Buffer.view}'s checks and error
-    messages — and (b) the static [view] describing those slots. Only called
-    when [w.wbuf] is in scope as a buffer or view. *)
-and cwindow_view ctx (w : window) : (frame -> unit) * view =
-  let spec =
-    Array.of_list
-      (List.map
-         (function
-           | Pt e -> `P (cint ctx e)
-           | Iv (lo, hi) -> `I (cint ctx lo, cint ctx hi))
-         w.widx)
-  in
-  let nspec = Array.length spec in
-  let kept =
-    Array.fold_left (fun n s -> match s with `I _ -> n + 1 | `P _ -> n) 0 spec
-  in
-  let off = alloc_int ctx in
-  let dims = Array.init kept (fun _ -> alloc_int ctx) in
-  let strides = Array.init kept (fun _ -> alloc_int ctx) in
-  match Sym.Tbl.find_opt ctx.slots w.wbuf with
-  | Some (SBuf j) ->
-      let view = { v_data = j; v_off = off; v_dims = dims; v_strides = strides } in
-      (* per-dimension steps chained at compile time: the accumulated offset
-         travels as an (unboxed) argument, so the per-call action allocates
-         nothing and performs no dispatch *)
-      let rec chain d od : frame -> Buffer.t -> int -> unit =
-        if d = nspec then fun f _ o -> f.ints.(off) <- o
-        else
-          match spec.(d) with
-          | `P g ->
-              let rest = chain (d + 1) od in
-              fun f buf o ->
-                let i = g f in
-                let ext = buf.Buffer.dims.(d) in
-                if i < 0 || i >= ext then
-                  berr "window point %d out of bounds in dimension %d (extent %d)"
-                    i d ext;
-                rest f buf (o + (i * buf.Buffer.strides.(d)))
-          | `I (glo, ghi) ->
-              let rest = chain (d + 1) (od + 1) in
-              let ds = dims.(od) and ss = strides.(od) in
-              fun f buf o ->
-                let lo = glo f in
-                let len = ghi f - lo in
-                let ext = buf.Buffer.dims.(d) in
-                if lo < 0 || len < 0 || lo + len > ext then
-                  berr "window [%d, %d) out of bounds in dimension %d (extent %d)"
-                    lo (lo + len) d ext;
-                f.ints.(ds) <- len;
-                f.ints.(ss) <- buf.Buffer.strides.(d);
-                rest f buf (o + (lo * buf.Buffer.strides.(d)))
-      in
-      let ch = chain 0 0 in
-      let act f =
-        let buf = f.bufs.(j) in
-        if nspec <> Buffer.rank buf then
-          berr "window rank mismatch on a rank-%d buffer" (Buffer.rank buf);
-        ch f buf buf.Buffer.offset
-      in
-      (act, view)
-  | Some (SView v) ->
-      let r = Array.length v.v_dims in
-      let view =
-        { v_data = v.v_data; v_off = off; v_dims = dims; v_strides = strides }
-      in
-      if nspec <> r then
-        ((fun _ -> berr "window rank mismatch on a rank-%d buffer" r), view)
-      else
-        let rec chain d od : frame -> int -> unit =
-          if d = nspec then fun f o -> f.ints.(off) <- o
-          else
-            let de = v.v_dims.(d) and ds = v.v_strides.(d) in
-            match spec.(d) with
-            | `P g ->
-                let rest = chain (d + 1) od in
-                fun f o ->
-                  let i = g f in
-                  let ext = f.ints.(de) in
-                  if i < 0 || i >= ext then
-                    berr
-                      "window point %d out of bounds in dimension %d (extent %d)"
-                      i d ext;
-                  rest f (o + (i * f.ints.(ds)))
-            | `I (glo, ghi) ->
-                let rest = chain (d + 1) (od + 1) in
-                let kd = dims.(od) and ks = strides.(od) in
-                fun f o ->
-                  let lo = glo f in
-                  let len = ghi f - lo in
-                  let ext = f.ints.(de) in
-                  if lo < 0 || len < 0 || lo + len > ext then
-                    berr
-                      "window [%d, %d) out of bounds in dimension %d (extent %d)"
-                      lo (lo + len) d ext;
-                  let st = f.ints.(ds) in
-                  f.ints.(kd) <- len;
-                  f.ints.(ks) <- st;
-                  rest f (o + (lo * st))
-        in
-        let ch = chain 0 0 in
-        let act f = ch f f.ints.(v.v_off) in
-        (act, view)
-  | _ -> assert false (* guarded by the caller *)
-
-(* ------------------------------------------------------------------ *)
-(* Fused loops                                                         *)
-
-(** Build the leaf plan for an access [b[idx]] inside a loop over [v], plus
-    the entry-time resolver. The resolver re-checks rank and every bound the
-    general path would check per element (for the loop-indexed dimension:
-    over the whole [lo, hi) range), and refreshes the plan's mutable fields.
-    Returning [false] (or raising, absorbed by the caller) routes the whole
-    loop to the general path, which reproduces the interpreter's error. *)
-and lleaf ctx v ~push (b : Sym.t) (idx : expr list) : lplan option =
-  let kinds =
-    let rec go = function
-      | [] -> Some []
-      | e :: rest -> (
-          let k =
-            match e with
-            | Var u when Sym.equal u v -> Some LI
-            | e when not (mentions v e) -> Some (LInv (cint ctx e))
-            | _ -> None
-          in
-          match (k, go rest) with
-          | Some k, Some r -> Some (k :: r)
-          | _ -> None)
-    in
-    go idx
-  in
-  match (Sym.Tbl.find_opt ctx.slots b, kinds) with
-  | Some (SBuf j), Some kinds ->
-      let kinds = Array.of_list kinds in
-      let n = Array.length kinds in
-      let p = { lp_data = [||]; lp_base = 0; lp_step = 0; lp_dt = Dtype.F32 } in
-      (* per-dimension checks chained at compile time; base and step travel
-         as (unboxed) arguments — no refs, no dispatch per call *)
-      let rec chain d : frame -> Buffer.t -> int -> int -> int -> int -> bool =
-        if d = n then
-          fun _ buf _ _ base step ->
-            p.lp_data <- buf.Buffer.data;
-            p.lp_base <- base;
-            p.lp_step <- step;
-            p.lp_dt <- buf.Buffer.dtype;
-            true
-        else
-          match kinds.(d) with
-          | LI ->
-              let rest = chain (d + 1) in
-              fun f buf lo hi base step ->
-                lo >= 0
-                && hi <= buf.Buffer.dims.(d)
-                && rest f buf lo hi base (step + buf.Buffer.strides.(d))
-          | LInv g ->
-              let rest = chain (d + 1) in
-              fun f buf lo hi base step ->
-                let x = g f in
-                x >= 0
-                && x < buf.Buffer.dims.(d)
-                && rest f buf lo hi (base + (x * buf.Buffer.strides.(d))) step
-      in
-      let ch = chain 0 in
-      let resolve f lo hi =
-        let buf = f.bufs.(j) in
-        Buffer.rank buf = n && ch f buf lo hi buf.Buffer.offset 0
-      in
-      push resolve;
-      Some p
-  | Some (SView vw), Some kinds ->
-      let kinds = Array.of_list kinds in
-      let n = Array.length kinds in
-      if Array.length vw.v_dims <> n then None (* static rank mismatch *)
-      else
-        let p = { lp_data = [||]; lp_base = 0; lp_step = 0; lp_dt = Dtype.F32 } in
-        let rec chain d : frame -> int -> int -> int -> int -> bool =
-          if d = n then
-            fun f _ _ base step ->
-              let bb = f.bufs.(vw.v_data) in
-              p.lp_data <- bb.Buffer.data;
-              p.lp_base <- base;
-              p.lp_step <- step;
-              p.lp_dt <- bb.Buffer.dtype;
-              true
-          else
-            let de = vw.v_dims.(d) and ds = vw.v_strides.(d) in
-            match kinds.(d) with
-            | LI ->
-                let rest = chain (d + 1) in
-                fun f lo hi base step ->
-                  lo >= 0
-                  && hi <= f.ints.(de)
-                  && rest f lo hi base (step + f.ints.(ds))
-            | LInv g ->
-                let rest = chain (d + 1) in
-                fun f lo hi base step ->
-                  let x = g f in
-                  x >= 0
-                  && x < f.ints.(de)
-                  && rest f lo hi (base + (x * f.ints.(ds))) step
-        in
-        let ch = chain 0 in
-        let resolve f lo hi = ch f lo hi f.ints.(vw.v_off) 0 in
-        push resolve;
-        Some p
-  | _ -> None
-
-(** Build the RHS tree of a fusable statement; [None] bails out of fusion. *)
-and frhs ctx v ~push (e : expr) : fnode option =
-  match e with
-  | Read (b, idx) -> (
-      match lleaf ctx v ~push b idx with
-      | Some p -> Some (FLeaf p)
-      | None -> None)
-  | Var u when Sym.equal u v -> Some FIdx
-  | _ when (not (mentions v e)) && not (has_read e) ->
-      let g = cflt ctx e in
-      let r = ref 0.0 in
-      push (fun f _ _ ->
-          r := g f;
-          true);
-      Some (FConst r)
-  | Binop (op, a, b) when not (is_int e) -> (
-      match op with
-      | Mod -> None
-      | _ -> (
-          match (frhs ctx v ~push a, frhs ctx v ~push b) with
-          | Some fa, Some fb -> Some (FBin (op, fa, fb))
-          | _ -> None))
-  | Neg a when not (is_int e) -> (
-      match frhs ctx v ~push a with
-      | Some fa -> Some (FNeg fa)
-      | None -> None)
-  | _ -> None
-
-(** Generic per-element evaluator for RHS shapes without a dedicated loop. *)
-and feval (nd : fnode) : int -> float =
-  match nd with
-  | FLeaf p -> fun i -> p.lp_data.(p.lp_base + (i * p.lp_step))
-  | FIdx -> fun i -> float_of_int i
-  | FConst r -> fun _ -> !r
-  | FBin (op, a, b) -> (
-      let fa = feval a and fb = feval b in
-      match op with
-      | Add -> fun i -> fa i +. fb i
-      | Sub -> fun i -> fa i -. fb i
-      | Mul -> fun i -> fa i *. fb i
-      | Div -> fun i -> fa i /. fb i
-      | Mod -> assert false)
-  | FNeg a ->
-      let fa = feval a in
-      fun i -> -.(fa i)
-
-(** The loop runner: called after a successful resolve, reads the plans'
-    freshly written fields and sweeps [lo, hi). The instruction-body shapes —
-    copy, broadcast, scale, multiply(-accumulate) — run as tight monomorphic
-    loops with the F32 rounding inlined (allocation-free); anything else
-    falls back to the generic evaluator. Operand order is preserved
-    everywhere (IEEE multiplication is not bit-commutative under NaN). *)
-and floop ~reduce (dst : lplan) (rhs : fnode) : int -> int -> unit =
-  match rhs with
-  | FLeaf s when not reduce ->
-      fun l h ->
-        let dd = dst.lp_data and db = dst.lp_base and ds = dst.lp_step in
-        let sd = s.lp_data and sb = s.lp_base and ss = s.lp_step in
-        (match dst.lp_dt with
-        | Dtype.F32 ->
-            for i = l to h - 1 do
-              dd.(db + (i * ds)) <- f32_round sd.(sb + (i * ss))
-            done
-        | dt ->
-            for i = l to h - 1 do
-              dd.(db + (i * ds)) <- Buffer.round_dtype dt sd.(sb + (i * ss))
-            done)
-  | FLeaf s ->
-      fun l h ->
-        let dd = dst.lp_data and db = dst.lp_base and ds = dst.lp_step in
-        let sd = s.lp_data and sb = s.lp_base and ss = s.lp_step in
-        (match dst.lp_dt with
-        | Dtype.F32 ->
-            for i = l to h - 1 do
-              let a = db + (i * ds) in
-              dd.(a) <- f32_round (dd.(a) +. sd.(sb + (i * ss)))
-            done
-        | dt ->
-            for i = l to h - 1 do
-              let a = db + (i * ds) in
-              dd.(a) <- Buffer.round_dtype dt (dd.(a) +. sd.(sb + (i * ss)))
-            done)
-  | FConst r when not reduce ->
-      fun l h ->
-        let dd = dst.lp_data and db = dst.lp_base and ds = dst.lp_step in
-        let x = Buffer.round_dtype dst.lp_dt !r in
-        for i = l to h - 1 do
-          dd.(db + (i * ds)) <- x
-        done
-  | FConst r ->
-      fun l h ->
-        let dd = dst.lp_data and db = dst.lp_base and ds = dst.lp_step in
-        let x = !r in
-        (match dst.lp_dt with
-        | Dtype.F32 ->
-            for i = l to h - 1 do
-              let a = db + (i * ds) in
-              dd.(a) <- f32_round (dd.(a) +. x)
-            done
-        | dt ->
-            for i = l to h - 1 do
-              let a = db + (i * ds) in
-              dd.(a) <- Buffer.round_dtype dt (dd.(a) +. x)
-            done)
-  | FBin (Mul, FLeaf s, FLeaf t) ->
-      fun l h ->
-        let dd = dst.lp_data and db = dst.lp_base and ds = dst.lp_step in
-        let sd = s.lp_data and sb = s.lp_base and ss = s.lp_step in
-        let td = t.lp_data and tb = t.lp_base and ts = t.lp_step in
-        (match (dst.lp_dt, reduce) with
-        | Dtype.F32, true ->
-            for i = l to h - 1 do
-              let a = db + (i * ds) in
-              dd.(a) <-
-                f32_round (dd.(a) +. (sd.(sb + (i * ss)) *. td.(tb + (i * ts))))
-            done
-        | Dtype.F32, false ->
-            for i = l to h - 1 do
-              dd.(db + (i * ds)) <-
-                f32_round (sd.(sb + (i * ss)) *. td.(tb + (i * ts)))
-            done
-        | dt, true ->
-            for i = l to h - 1 do
-              let a = db + (i * ds) in
-              dd.(a) <-
-                Buffer.round_dtype dt
-                  (dd.(a) +. (sd.(sb + (i * ss)) *. td.(tb + (i * ts))))
-            done
-        | dt, false ->
-            for i = l to h - 1 do
-              dd.(db + (i * ds)) <-
-                Buffer.round_dtype dt (sd.(sb + (i * ss)) *. td.(tb + (i * ts)))
-            done)
-  | FBin (Mul, FLeaf s, FConst c) ->
-      fun l h ->
-        let dd = dst.lp_data and db = dst.lp_base and ds = dst.lp_step in
-        let sd = s.lp_data and sb = s.lp_base and ss = s.lp_step in
-        let x = !c in
-        (match (dst.lp_dt, reduce) with
-        | Dtype.F32, true ->
-            for i = l to h - 1 do
-              let a = db + (i * ds) in
-              dd.(a) <- f32_round (dd.(a) +. (sd.(sb + (i * ss)) *. x))
-            done
-        | Dtype.F32, false ->
-            for i = l to h - 1 do
-              dd.(db + (i * ds)) <- f32_round (sd.(sb + (i * ss)) *. x)
-            done
-        | dt, true ->
-            for i = l to h - 1 do
-              let a = db + (i * ds) in
-              dd.(a) <- Buffer.round_dtype dt (dd.(a) +. (sd.(sb + (i * ss)) *. x))
-            done
-        | dt, false ->
-            for i = l to h - 1 do
-              dd.(db + (i * ds)) <- Buffer.round_dtype dt (sd.(sb + (i * ss)) *. x)
-            done)
-  | FBin (Mul, FConst c, FLeaf s) ->
-      fun l h ->
-        let dd = dst.lp_data and db = dst.lp_base and ds = dst.lp_step in
-        let sd = s.lp_data and sb = s.lp_base and ss = s.lp_step in
-        let x = !c in
-        (match (dst.lp_dt, reduce) with
-        | Dtype.F32, true ->
-            for i = l to h - 1 do
-              let a = db + (i * ds) in
-              dd.(a) <- f32_round (dd.(a) +. (x *. sd.(sb + (i * ss))))
-            done
-        | Dtype.F32, false ->
-            for i = l to h - 1 do
-              dd.(db + (i * ds)) <- f32_round (x *. sd.(sb + (i * ss)))
-            done
-        | dt, true ->
-            for i = l to h - 1 do
-              let a = db + (i * ds) in
-              dd.(a) <- Buffer.round_dtype dt (dd.(a) +. (x *. sd.(sb + (i * ss))))
-            done
-        | dt, false ->
-            for i = l to h - 1 do
-              dd.(db + (i * ds)) <- Buffer.round_dtype dt (x *. sd.(sb + (i * ss)))
-            done)
-  | nd ->
-      let ev = feval nd in
-      if reduce then fun l h ->
-        let dd = dst.lp_data and db = dst.lp_base and ds = dst.lp_step in
-        let dt = dst.lp_dt in
-        for i = l to h - 1 do
-          let x = ev i in
-          let a = db + (i * ds) in
-          dd.(a) <- Buffer.round_dtype dt (dd.(a) +. x)
-        done
-      else fun l h ->
-        let dd = dst.lp_data and db = dst.lp_base and ds = dst.lp_step in
-        let dt = dst.lp_dt in
-        for i = l to h - 1 do
-          dd.(db + (i * ds)) <- Buffer.round_dtype dt (ev i)
-        done
-
-(** Try to fuse a loop over [v] whose body is a single assign/reduce. *)
-and cfuse ctx (v : Sym.t) (inner : stmt list) :
-    ((frame -> int -> int -> bool) * (int -> int -> unit)) option =
-  let fuse1 ~reduce b idx e =
-    let resolvers = ref [] in
-    let push r = resolvers := r :: !resolvers in
-    match lleaf ctx v ~push b idx with
-    | None -> None
-    | Some dst -> (
-        match frhs ctx v ~push e with
-        | None -> None
-        | Some rhs ->
-            let rs = Array.of_list (List.rev !resolvers) in
-            let nr = Array.length rs in
-            let resolve f lo hi =
-              try
-                let ok = ref true and i = ref 0 in
-                while !ok && !i < nr do
-                  if not (rs.(!i) f lo hi) then ok := false;
-                  incr i
-                done;
-                !ok
-              with _ -> false
-            in
-            Some (resolve, floop ~reduce dst rhs))
-  in
-  match inner with
-  | [ SAssign (b, idx, e) ] -> fuse1 ~reduce:false b idx e
-  | [ SReduce (b, idx, e) ] -> fuse1 ~reduce:true b idx e
-  | _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* Statements                                                          *)
-
-and cstmts ctx (body : stmt list) : frame -> unit =
-  match List.map (cstmt ctx) body with
-  | [] -> fun _ -> ()
-  | [ s ] -> s
-  | [ s1; s2 ] ->
-      fun f ->
-        s1 f;
-        s2 f
-  | l ->
-      let cs = Array.of_list l in
-      let n = Array.length cs in
-      fun f ->
-        for i = 0 to n - 1 do
-          cs.(i) f
-        done
-
-and cstmt ctx (s : stmt) : frame -> unit =
-  match s with
-  | SAssign (b, idx, e) -> (
-      match Sym.Tbl.find_opt ctx.slots b with
-      | Some (SView v) ->
-          let ad = cvaddr ctx v idx and ec = cflt ctx e in
-          fun f ->
-            let base = f.bufs.(v.v_data) in
-            let a = ad f in
-            base.Buffer.data.(a) <- Buffer.round_dtype base.Buffer.dtype (ec f)
-      | _ ->
-          let bc = cbuf ctx b and ad = caddr ctx idx and ec = cflt ctx e in
-          fun f ->
-            let buf = bc f in
-            let a = ad buf f in
-            buf.Buffer.data.(a) <- Buffer.round_dtype buf.Buffer.dtype (ec f))
-  | SReduce (b, idx, e) -> (
-      match Sym.Tbl.find_opt ctx.slots b with
-      | Some (SView v) ->
-          let ad = cvaddr ctx v idx and ec = cflt ctx e in
-          fun f ->
-            let base = f.bufs.(v.v_data) in
-            let a = ad f in
-            let x = ec f in
-            base.Buffer.data.(a) <-
-              Buffer.round_dtype base.Buffer.dtype (base.Buffer.data.(a) +. x)
-      | _ ->
-          let bc = cbuf ctx b and ad = caddr ctx idx and ec = cflt ctx e in
-          fun f ->
-            let buf = bc f in
-            let a = ad buf f in
-            let x = ec f in
-            buf.Buffer.data.(a) <-
-              Buffer.round_dtype buf.Buffer.dtype (buf.Buffer.data.(a) +. x))
-  | SFor (v, lo, hi, inner) -> (
-      let lo_c = cint ctx lo and hi_c = cint ctx hi in
-      let slot = bind_int ctx v in
-      let body = cstmts ctx inner in
-      match cfuse ctx v inner with
-      | None ->
-          fun f ->
-            let l = lo_c f and h = hi_c f in
-            for i = l to h - 1 do
-              f.ints.(slot) <- i;
-              body f
-            done
-      | Some (resolve, run) ->
-          fun f ->
-            let l = lo_c f and h = hi_c f in
-            if h <= l then ()
-            else if resolve f l h then run l h
-            else
-              for i = l to h - 1 do
-                f.ints.(slot) <- i;
-                body f
-              done)
-  | SAlloc (b, dt, dims, _) ->
-      let dims_c = List.map (cint ctx) dims in
-      let slot = bind_buf ctx b in
-      fun f -> f.bufs.(slot) <- Buffer.create dt (List.map (fun g -> g f) dims_c)
-  | SIf (c, t, e) ->
-      let cc = cbool ctx c and tc = cstmts ctx t and ec = cstmts ctx e in
-      fun f -> if cc f then tc f else ec f
-  | SCall (p, args) -> (
-      match cinline ctx p args with
-      | Some run -> run
-      | None -> cgeneric_call ctx p args)
-
-(** Inline a call: compile the callee's semantic body against the call site.
-    Integer arguments bind to caller-frame slots; window arguments become
-    views (offset/extent/stride slots, no per-call [Buffer.t]); preconditions
-    and body are compiled with the callee's parameters in scope. Runtime
-    order is exactly the interpreter's: arguments left to right, then
-    preconditions in order, then the body. Returns [None] — deferring to the
-    general call path — whenever the site doesn't fit (arity or kind
-    mismatch, window over something that isn't in scope as a buffer). *)
-and cinline ctx (p : proc) (args : call_arg list) : (frame -> unit) option =
-  if List.length args <> List.length p.p_args then None
-  else if
-    not
-      (List.for_all2
-         (fun (a : arg) ca ->
-           match (a.a_typ, ca) with
-           | (TSize | TIndex | TBool), AExpr _ -> true
-           | (TScalar _ | TTensor _), AWin w -> (
-               match Sym.Tbl.find_opt ctx.slots w.wbuf with
-               | Some (SBuf _ | SView _) -> true
-               | _ -> false)
-           | _ -> false)
-         p.p_args args)
-  then None
-  else
-    let acts =
-      Array.of_list
-        (List.filter_map
-           (fun ((a : arg), ca) ->
-             match (a.a_typ, ca) with
-             | (TSize | TIndex | TBool), AExpr (Int n) ->
-                 (* literal argument: no slot, no per-call work — uses
-                    compile to the constant *)
-                 Sym.Tbl.replace ctx.slots a.a_name (SConst n);
-                 None
-             | (TSize | TIndex | TBool), AExpr e ->
-                 let g = cint ctx e in
-                 let s = bind_int ctx a.a_name in
-                 Some (fun f -> f.ints.(s) <- g f)
-             | _, AWin w ->
-                 let act, view = cwindow_view ctx w in
-                 Sym.Tbl.replace ctx.slots a.a_name (SView view);
-                 Some act
-             | _ -> assert false)
-           (List.combine p.p_args args))
-    in
-    let preds = Array.of_list (List.map (cbool ctx) p.p_preds) in
-    let srcs = Array.of_list p.p_preds in
-    let body = cstmts ctx p.p_body in
-    let na = Array.length acts and np = Array.length preds in
-    let name = p.p_name in
-    Some
-      (fun f ->
-        for i = 0 to na - 1 do
-          acts.(i) f
-        done;
-        for i = 0 to np - 1 do
-          if not (preds.(i) f) then
-            rerr "call to %s: precondition %s does not hold" name
-              (Pp.expr_to_string srcs.(i))
-        done;
-        body f)
-
-(** General call path: per-call-site preallocated callee frame, windows
-    materialized as fresh buffers. Kept for the shapes {!cinline} declines
-    (and for its exact runtime errors on malformed calls). *)
-and cgeneric_call ctx (p : proc) (args : call_arg list) : frame -> unit =
-  if List.length args <> List.length p.p_args then fun _ ->
-    rerr "call to %s: arity mismatch" p.p_name
-  else
-    let cp = compile_callee p in
-    (* caller-side argument evaluation, writing into the callee frame *)
-    let binds =
-      Array.of_list
-        (List.map2
-           (fun pslot (a : call_arg) ->
-             match (pslot, a) with
-             | PInt slot, AExpr e ->
-                 let g = cint ctx e in
-                 fun cf (callee : frame) -> callee.ints.(slot) <- g cf
-             | PBuf slot, AWin w ->
-                 let g = cwindow ctx w in
-                 fun cf (callee : frame) -> callee.bufs.(slot) <- g cf
-             | PBuf _, AExpr _ ->
-                 fun _ _ ->
-                   rerr "call to %s: scalar expression for tensor parameter"
-                     p.p_name
-             | PInt _, AWin _ ->
-                 fun _ _ ->
-                   rerr "call to %s: window argument for scalar parameter"
-                     p.p_name)
-           (Array.to_list cp.cp_params) args)
-    in
-    let nb = Array.length binds in
-    (* per-call-site callee frame, reused across calls: a proc is a finite
-       tree, so it cannot (transitively) call itself and the frame is never
-       live twice *)
-    let callee = mk_frame ~nints:cp.cp_nints ~nbufs:cp.cp_nbufs in
-    let preds = cp.cp_preds and srcs = cp.cp_pred_srcs in
-    let np = Array.length preds in
-    let body = cp.cp_body in
-    let name = p.p_name in
-    fun f ->
-      for i = 0 to nb - 1 do
-        binds.(i) f callee
-      done;
-      for i = 0 to np - 1 do
-        if not (preds.(i) callee) then
-          rerr "call to %s: precondition %s does not hold" name
-            (Pp.expr_to_string srcs.(i))
-      done;
-      body callee
-
-(* ------------------------------------------------------------------ *)
-(* Procedures                                                          *)
-
-and compile_proc (p : proc) : cproc =
-  let ctx = new_ctx () in
-  let params =
-    Array.of_list
-      (List.map
-         (fun (a : arg) ->
-           match a.a_typ with
-           | TSize | TIndex | TBool -> PInt (bind_int ctx a.a_name)
-           | TScalar _ | TTensor _ -> PBuf (bind_buf ctx a.a_name))
-         p.p_args)
-  in
-  let preds = Array.of_list (List.map (cbool ctx) p.p_preds) in
-  let body = cstmts ctx p.p_body in
-  {
-    cp_nints = ctx.nints;
-    cp_nbufs = ctx.nbufs;
-    cp_params = params;
-    cp_preds = preds;
-    cp_pred_srcs = Array.of_list p.p_preds;
-    cp_body = body;
-  }
-
-and compile_callee (p : proc) : cproc =
-  let cache = Domain.DLS.get instr_cache in
-  match List.find_opt (fun (q, _) -> q == p) !cache with
-  | Some (_, cp) -> cp
-  | None ->
-      let cp = compile_proc p in
-      cache := (p, cp) :: !cache;
-      cp
-
-(* ------------------------------------------------------------------ *)
-(* Entry points                                                        *)
-
-type t = { src : proc; cp : cproc; frame : frame }
-
-let compile (p : proc) : t =
-  let cp = compile_proc p in
-  { src = p; cp; frame = mk_frame ~nints:cp.cp_nints ~nbufs:cp.cp_nbufs }
-
-let proc (t : t) : proc = t.src
-
-let run (t : t) (args : Interp.value list) : unit =
-  let p = t.src and cp = t.cp and f = t.frame in
-  if List.length args <> Array.length cp.cp_params then
-    rerr "run %s: expected %d arguments, got %d" p.p_name
-      (Array.length cp.cp_params) (List.length args);
-  List.iteri
-    (fun i (v : Interp.value) ->
-      match (cp.cp_params.(i), v) with
-      | PInt slot, Interp.VInt n -> f.ints.(slot) <- n
-      | PBuf slot, Interp.VBuf b -> f.bufs.(slot) <- b
-      | _ ->
-          rerr "run %s: argument %a has the wrong kind" p.p_name Sym.pp
-            (List.nth p.p_args i).a_name)
-    args;
-  Array.iteri
-    (fun i pred ->
-      if not (pred f) then
-        rerr "run %s: precondition %s does not hold" p.p_name
-          (Pp.expr_to_string cp.cp_pred_srcs.(i)))
-    cp.cp_preds;
-  cp.cp_body f
 
 (* ------------------------------------------------------------------ *)
 (* Micro-kernel tape lowering                                          *)
@@ -1828,14 +644,14 @@ let ukr_ba_generic ~(mr : int) ~(nr : int) : ukr_ba =
     done
 
 (* Build-time semantic certificate for the Bigarray tier: run the proc
-   through the compiled closure engine on integer-valued probes and demand
-   the canonical C[j,i] += sum_k Ac[k,i]*Bc[k,j] answer, bit for bit.
+   through the interpreter on integer-valued probes and demand the
+   canonical C[j,i] += sum_k Ac[k,i]*Bc[k,j] answer, bit for bit.
    Integer inputs (|v| <= 1000, kc <= 8, so every partial sum is an exact
    binary32 integer) make each f32 rounding step the identity, so a
    schedule that reassociates the k-sum still matches; any proc computing
-   a different function is rejected here and keeps the closure tier. *)
+   a different function is rejected here and is served by the
+   interpreter. *)
 let probe_ukr_ba (p : proc) ~(mr : int) ~(nr : int) : bool =
-  let ck = compile p in
   let one = Buffer.of_array Dtype.F32 [ 1 ] [| 1.0 |] in
   let bufview data dims =
     {
@@ -1862,7 +678,7 @@ let probe_ukr_ba (p : proc) ~(mr : int) ~(nr : int) : bool =
           !s)
     in
     match
-      run ck
+      Interp.run p
         [
           Interp.VInt kc;
           Interp.VBuf one;

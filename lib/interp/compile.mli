@@ -1,32 +1,11 @@
-(** Compile-once/run-many execution engine.
+(** Micro-kernel tape lowering and the Bigarray execution tier.
 
-    [compile] lowers a procedure to nested OCaml closures: symbols become
-    integer frame slots (no [Sym.Map] at runtime), expressions split
-    statically into unboxed int and float paths, buffer accesses compute
-    their flat address directly against the strides, and instruction calls
-    run their semantic bodies' compiled closures with preconditions checked
-    in a once-per-call prologue.
-
-    Observationally identical to {!Interp.run} — same dtype rounding, bounds
-    checks, and precondition failures (it raises {!Interp.Runtime_error} and
-    {!Buffer.Bounds} like the interpreter). The tree-walking {!Interp} stays
-    as the definitional oracle; a qcheck property pins bit-identical buffers
-    between the two. Use this engine anywhere a kernel runs more than once:
-    the GEMM numeric path, tuner sweeps, and property-test harnesses. *)
-
-type t
-
-(** Compile a procedure. Instruction callees are compiled once and shared
-    across all their call sites. *)
-val compile : Exo_ir.Ir.proc -> t
-
-(** The source procedure. *)
-val proc : t -> Exo_ir.Ir.proc
-
-(** Run a compiled procedure: [VInt] for size/index/bool arguments, [VBuf]
-    for tensors (mutated in place) — the same conventions as {!Interp.run}.
-    Preconditions are checked; violations raise {!Interp.Runtime_error}. *)
-val run : t -> Interp.value list -> unit
+    A generated micro-kernel is symbolically executed once into a tape of
+    straight-line memory operations ({!Summary}); the static certifier
+    {!Exo_check.Tierlint} proves that tape, and {!to_ukr_ba} turns an
+    eligible f32 proc into a monomorphized OCaml executor over float32
+    Bigarrays. {!Interp} stays the reference semantics: {!probe_ukr_ba}
+    runs it, and procs the Bigarray tier refuses are served by it. *)
 
 (** The auditable access summary of a lowered micro-kernel tape: the proc
     symbolically executed with every loop but the k loop unrolled and every
@@ -91,10 +70,10 @@ type ukr_ba =
 (** [to_ukr_ba p] — the monomorphized execution tier: for f32 procs the
     tape lowering accepts (with no runtime preconditions), the
     proc's semantics are certified against the canonical GEMM formula on
-    integer probes via the compiled closure engine, and the returned
+    integer probes via the interpreter, and the returned
     executor is a straight-line OCaml loop nest specialized to (mr, nr) —
     hand-monomorphized with literal constants for 8×12, shape-captured for
-    every other pair. [None] means the proc keeps the closure engine.
+    every other pair. [None] means the proc is served by the interpreter.
 
     [~certified:true] records that the caller holds a static
     {!Exo_check.Tierlint} proof that the tape computes the canonical
@@ -119,7 +98,7 @@ val ukr_ba_of_summary : Summary.t -> ukr_ba option
 
 (** The Bigarray tier's dynamic certificate, exposed so the bench and the
     [--tiers] lint sweep can cross-check it against the static verdicts:
-    runs the proc through the compiled closure engine on integer probes
-    and demands the canonical [C[j,i] += Σ_k Ac[k,i]·Bc[k,j]] answer bit
-    for bit. F32 procs only (the probes are f32 buffers). *)
+    runs the proc through {!Interp.run} on integer probes and demands the
+    canonical [C[j,i] += Σ_k Ac[k,i]·Bc[k,j]] answer bit for bit. F32
+    procs only (the probes are f32 buffers). *)
 val probe_ukr_ba : Exo_ir.Ir.proc -> mr:int -> nr:int -> bool

@@ -20,9 +20,9 @@
     - a compute may therefore run more than once per key under contention
       (never more than once per racing domain). Computes must be pure.
 
-    Per-DOMAIN state (compiled kernels, whose closures carry mutable frame
-    slots and are not re-entrant across domains) does not belong here — use
-    [Domain.DLS] for those; see {!Exo_blis.Registry.exo_compiled}. *)
+    Cached values are shared by every domain, so they must be immutable or
+    re-entrant (like the registry's kernel-table executors); per-domain
+    mutable state belongs in [Domain.DLS] instead. *)
 
 type ('a, 'b) t = { lock : Mutex.t; tbl : ('a, 'b) Hashtbl.t }
 

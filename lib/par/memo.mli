@@ -6,7 +6,7 @@
     be pure; under contention a compute may run once per racing domain (the
     losers' values are dropped). See the implementation header for the full
     domain-safety contract, and use [Domain.DLS] instead for state that is
-    mutable per use (compiled-kernel frames). *)
+    mutable per use. *)
 
 type ('a, 'b) t
 

@@ -123,19 +123,18 @@ let test_blis_with_exo_kernels () =
     (M.equal c1 c2)
 
 let test_blis_compiled_vs_interpreted_ukr () =
-  (* the compiled closure engine against the tree-walking oracle, through
-     the full macro-kernel: bit-identical C *)
+  (* the serving bank (native or Bigarray executors) against the
+     tree-walking oracle, through the full macro-kernel: bit-identical C *)
   let st = Random.State.make [| 4 |] in
   let m, n, k = (19, 23, 13) in
   let a = M.random_int m k st and b = M.random_int k n st in
   let c1 = M.random_int m n st in
   let c2 = M.copy c1 in
-  let run tile c =
-    G.blis_ba ~blocking:small_blocking ~mr:8 ~nr:12
-      ~kernels:(R.tile_bank tile ~mr:8 ~nr:12) a b c
+  let run kernels c =
+    G.blis_ba ~blocking:small_blocking ~mr:8 ~nr:12 ~kernels a b c
   in
-  run (R.exo_ukr_closure ()) c1;
-  run (R.exo_ukr_interp ()) c2;
+  run (bank ()) c1;
+  run (R.tile_bank (R.exo_ukr_interp ()) ~mr:8 ~nr:12) c2;
   Alcotest.(check bool) "compiled ≡ interpreted through the macro-kernel" true
     (M.equal c1 c2)
 
@@ -257,7 +256,7 @@ let test_table_complete_all_families () =
         Alcotest.(check int) (Fmt.str "%s: no holes" kit.K.name) 0 holes)
       else
         Alcotest.(check int)
-          (Fmt.str "%s: all closure round-trips" kit.K.name)
+          (Fmt.str "%s: all interpreter round-trips" kit.K.name)
           96 holes)
     K.all
 
@@ -303,7 +302,7 @@ let test_table_dispatch_is_array_indexing () =
 
 let test_blis_ba_exact_and_counters () =
   (* the Bigarray tier matches naive_f32 on fringe-heavy shapes and never
-     touches the closure fallback on an f32 family *)
+     touches the interpreter fallback on an f32 family *)
   let st = Random.State.make [| 19 |] in
   let kernels = R.exo_bank ~mr:8 ~nr:12 () in
   R.reset_dispatch_counts ();
@@ -321,7 +320,7 @@ let test_blis_ba_exact_and_counters () =
     ((1, 1, 1) :: (7, 11, 3) :: (5, 7, 0) :: fringe_shapes);
   let fast, fallback = R.ukr_dispatch_counts () in
   Alcotest.(check bool) "monomorphized entries fired" true (fast > 0);
-  Alcotest.(check int) "no closure fallbacks on an f32 family" 0 fallback
+  Alcotest.(check int) "no interpreter fallbacks on an f32 family" 0 fallback
 
 let test_blis_ba_pool_width_invariance () =
   (* the (jc × ic) task grid: a small-n shape where the jc-only split
@@ -344,6 +343,40 @@ let test_blis_ba_pool_width_invariance () =
   Alcotest.(check bool) "width 1 exact vs naive" true (M.equal c_ref c1);
   Alcotest.(check bool) "jobs 1 ≡ jobs 2 (bit-exact)" true (M.equal c1 c2);
   Alcotest.(check bool) "jobs 1 ≡ jobs 4 (bit-exact)" true (M.equal c1 c4)
+
+let test_interp_entries_width_invariance () =
+  (* the non-f32 tables are served entirely by the interpreter; one table
+     is shared by every domain of the pool, so a 3x3 (jc × ic) task grid
+     must give bit-identical C at every width, equal to naive_f32 *)
+  let st = Random.State.make [| 41 |] in
+  let m, n, k = (37, 53, 19) in
+  let a = M.random_int m k st and b = M.random_int k n st in
+  let c0 = M.random_int m n st in
+  let c_ref = M.copy c0 in
+  G.naive_f32 a b c_ref;
+  List.iter
+    (fun (kit : K.t) ->
+      let kernels = R.exo_bank ~kit ~mr:8 ~nr:12 () in
+      let run jobs =
+        let c = M.copy c0 in
+        let pool = Exo_par.Pool.create ~jobs () in
+        G.blis_ba ~pool ~ws:(G.workspace ()) ~blocking:small_blocking ~mr:8
+          ~nr:12 ~kernels a b c;
+        c
+      in
+      R.reset_dispatch_counts ();
+      let c1 = run 1 and c2 = run 2 and c4 = run 4 in
+      let fast, fallback = R.ukr_dispatch_counts () in
+      Alcotest.(check int) (kit.K.name ^ ": no fast entries") 0 fast;
+      Alcotest.(check bool) (kit.K.name ^ ": interpreter entries fired") true
+        (fallback > 0);
+      Alcotest.(check bool) (kit.K.name ^ ": width 1 exact vs naive") true
+        (M.equal c_ref c1);
+      Alcotest.(check bool) (kit.K.name ^ ": jobs 1 ≡ jobs 2") true
+        (M.equal c1 c2);
+      Alcotest.(check bool) (kit.K.name ^ ": jobs 1 ≡ jobs 4") true
+        (M.equal c1 c4))
+    [ K.neon_f16; K.neon_i32 ]
 
 let test_gemm_batch_ba () =
   (* the workload batch through the Bigarray tier matches per-problem naive *)
@@ -499,12 +532,12 @@ let test_blis_ba_k0_semantics () =
 
 let prop_blis_ba_cross_tier_all_kits =
   (* random shapes including m < mr, n < nr and k = 0, across every kit:
-     the kit's serving table (closure-engine entries on the f16 kits) and
-     a table of closure-engine tiles agree bit for bit, and both match
+     the kit's serving table (interpreter entries on the non-f32 kits) and
+     a table of interpreter tiles agree bit for bit, and both match
      naive_f32 (integer data keeps every dtype exact: |Σ| ≤ 3·3·24 + 3 <
      2^11, within f16's exact-integer range) *)
   QCheck2.Test.make
-    ~name:"Bigarray tier ≡ closure engine ≡ naive (all kits)"
+    ~name:"Bigarray tier ≡ interpreter ≡ naive (all kits)"
     ~count:8
     QCheck2.Gen.(triple (int_range 1 20) (int_range 1 30) (int_range 0 24))
     (fun (m, n, k) ->
@@ -519,11 +552,11 @@ let prop_blis_ba_cross_tier_all_kits =
           G.blis_ba ~blocking:small_blocking ~mr:8 ~nr:12
             ~kernels:(R.exo_bank ~kit ~mr:8 ~nr:12 ())
             a b c_ba;
-          let c_closure = M.copy c0 in
+          let c_interp = M.copy c0 in
           G.blis_ba ~blocking:small_blocking ~mr:8 ~nr:12
-            ~kernels:(R.tile_bank (R.exo_ukr_closure ~kit ()) ~mr:8 ~nr:12)
-            a b c_closure;
-          M.equal c_naive c_ba && M.equal c_ba c_closure)
+            ~kernels:(R.tile_bank (R.exo_ukr_interp ~kit ()) ~mr:8 ~nr:12)
+            a b c_interp;
+          M.equal c_naive c_ba && M.equal c_ba c_interp)
         K.all)
 
 let prop_blis_exo_fringe_random =
@@ -829,6 +862,8 @@ let () =
             `Quick test_blis_ba_resident_block_vs_per_pc;
           Alcotest.test_case "bigarray tier k = 0 semantics" `Quick
             test_blis_ba_k0_semantics;
+          Alcotest.test_case "interpreter entries (f16, i32) width invariance"
+            `Quick test_interp_entries_width_invariance;
         ]
         @ props );
       ( "driver",

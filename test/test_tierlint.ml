@@ -10,7 +10,7 @@
    - deliberately broken lowerings (corrupted access summaries) are
      rejected, per property
    - qcheck oracle: the statically enumerated C write-set equals the
-     dynamically observed changed-cell set of the closure engine *)
+     dynamically observed changed-cell set of the interpreter *)
 
 module C = Exo_interp.Compile
 module S = C.Summary
@@ -224,19 +224,18 @@ let view data dims offset =
   done;
   { B.data; dtype = Exo_ir.Dtype.F32; dims; strides; offset }
 
-(* Run the closure engine on strictly positive integer A/B panels: every C
+(* Run the interpreter on strictly positive integer A/B panels: every C
    cell accumulating at least one A·B product strictly increases, so the
    changed-cell set observes exactly the cells the tape touches. *)
 let dynamic_touched ~mr ~nr ~kc ~seed =
   let proc = (R.exo_kernel ~kit:Kits.neon_f32 ~mr ~nr ()).Family.proc in
-  let ck = C.compile proc in
   let st = Random.State.make [| seed; mr; nr; kc |] in
   let pos n = Array.init (max 1 n) (fun _ -> float_of_int (1 + Random.State.int st 5)) in
   let ac = pos (kc * mr) and bc = pos (kc * nr) in
   let c = Array.init (nr * mr) (fun _ -> float_of_int (Random.State.int st 9 - 4)) in
   let c0 = Array.copy c in
   let one = B.of_array Exo_ir.Dtype.F32 [ 1 ] [| 1.0 |] in
-  C.run ck
+  I.run proc
     [
       I.VInt kc;
       I.VBuf one;
@@ -265,6 +264,57 @@ let prop_write_set_oracle =
         dynamic = []
       else static = dynamic)
 
+(* --- the dynamic probe rejects what is not C += A·B ------------------- *)
+
+(* A hand-written kernel with the generated signature (KC, alpha, Ac, Bc,
+   beta, C): [upd c ji a b] is the statement that updates C[j,i] from
+   a = Ac[k,i] and b = Bc[k,j] inside the k/j/i nest. *)
+let hand_kernel ~mr ~nr upd =
+  let open Exo_ir.Builder in
+  let sym = Exo_ir.Sym.fresh and f32 = Exo_ir.Dtype.F32 in
+  let kc = sym "KC" and alpha = sym "alpha" and ac = sym "Ac" in
+  let bc = sym "Bc" and beta = sym "beta" and c = sym "C" in
+  let k = sym "k" and j = sym "j" and i = sym "i" in
+  Ir.mk_proc ~name:"hand"
+    ~args:
+      [
+        size_arg kc;
+        tensor_arg alpha f32 [ int 1 ];
+        tensor_arg ac f32 [ var kc; int mr ];
+        tensor_arg bc f32 [ var kc; int nr ];
+        tensor_arg beta f32 [ int 1 ];
+        tensor_arg c f32 [ int nr; int mr ];
+      ]
+    [
+      loopn k (var kc)
+        [
+          loopn j (int nr)
+            [
+              loopn i (int mr)
+                [
+                  upd c [ var j; var i ] (rd ac [ var k; var i ])
+                    (rd bc [ var k; var j ]);
+                ];
+            ];
+        ];
+    ]
+
+let test_probe_rejects_wrong_kernels () =
+  let open Exo_ir.Builder in
+  let mr = 3 and nr = 2 in
+  let probe upd = C.probe_ukr_ba (hand_kernel ~mr ~nr upd) ~mr ~nr in
+  Alcotest.(check bool) "hand-written C += A·B accepted" true
+    (probe (fun c ji a b -> reduce c ji (mul a b)));
+  Alcotest.(check bool) "C += A·A rejected" false
+    (probe (fun c ji a _ -> reduce c ji (mul a a)));
+  Alcotest.(check bool) "C = A·B (C overwritten) rejected" false
+    (probe (fun c ji a b -> assign c ji (mul a b)));
+  let k812 = (R.exo_kernel ~kit:Kits.neon_f32 ~mr:8 ~nr:12 ()).Family.proc in
+  Alcotest.(check bool) "8x12 kernel accepted as 8x12" true
+    (C.probe_ukr_ba k812 ~mr:8 ~nr:12);
+  Alcotest.(check bool) "8x12 kernel rejected as 8x11" false
+    (C.probe_ukr_ba k812 ~mr:8 ~nr:11)
+
 let () =
   Alcotest.run "tierlint"
     [
@@ -285,6 +335,8 @@ let () =
         ] );
       ( "negative",
         [
+          Alcotest.test_case "probe rejects wrong kernels" `Quick
+            test_probe_rejects_wrong_kernels;
           Alcotest.test_case "write outside C rejected" `Quick
             test_reject_write_outside_c;
           Alcotest.test_case "out-of-bounds read rejected" `Quick

@@ -91,7 +91,7 @@ let prop_lowering_equivalence =
 
 let test_conv_via_blis_gemm () =
   (* the whole stack together: im2row + blocked GEMM with Exo kernels (on
-     the closure engine, which builds only the tile shapes the GEMM uses) *)
+     the interpreter, which builds only the tile shapes the GEMM uses) *)
   let spec = { C.cin = 3; cout = 8; kh = 3; kw = 3; stride = 1; pad = 1 } in
   let st = Random.State.make [| 11 |] in
   let input = C.tensor_random 6 6 3 st in
@@ -103,7 +103,7 @@ let test_conv_via_blis_gemm () =
     ~blocking:{ Exo_blis.Analytical.mc = 16; kc = 8; nc = 24 }
     ~mr:8 ~nr:12
     ~kernels:
-      Exo_blis.Registry.(tile_bank (exo_ukr_closure ()) ~mr:8 ~nr:12)
+      Exo_blis.Registry.(tile_bank (exo_ukr_interp ()) ~mr:8 ~nr:12)
     a weights c;
   let ok = ref true in
   for oi = 0 to 5 do
