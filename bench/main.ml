@@ -147,29 +147,34 @@ let run_bechamel () =
   Fmt.pr "@."
 
 (* ------------------------------------------------------------------ *)
-(* Shared provenance metadata for every BENCH_*.json this harness       *)
-(* writes: the one Obs.Meta writer (shared with ukrgen lint --tiers     *)
-(* --json), with the ocamlopt flambda flag added — OCaml-side timings   *)
-(* depend on it, so GFLOPS numbers are only comparable across hosts     *)
-(* with this block.                                                     *)
+(* Every BENCH_*.json this harness writes is one Json.t, headed by the  *)
+(* shared Obs.Meta member (also in ukrgen lint --tiers --json) with the *)
+(* ocamlopt flambda flag added — OCaml-side timings depend on it, so    *)
+(* GFLOPS numbers are only comparable across hosts with this block.     *)
 
-let meta_json () =
-  let module Host = Exo_native.Host in
-  let host_cc = match Host.cc () with Some p -> p | None -> "none" in
-  let host_isa =
-    match Host.isas () with
-    | [] -> "generic"
-    | l -> String.concat "," (List.map Host.isa_name l)
+module Json = Exo_obs.Obs.Json
+
+let host_isa =
+  match Exo_native.Host.isas () with
+  | [] -> "generic"
+  | l -> String.concat "," (List.map Exo_native.Host.isa_name l)
+
+let write_bench file (members : (string * Json.t) list) =
+  let host_cc = Option.value ~default:"none" (Exo_native.Host.cc ()) in
+  let meta =
+    Exo_obs.Obs.Meta.json ~flambda:Config.flambda ~host_cc ~host_isa
+      ~pool_jobs:(Exo_par.Pool.default_jobs ()) ()
   in
-  Exo_obs.Obs.Meta.json ~flambda:Config.flambda ~host_cc ~host_isa
-    ~pool_jobs:(Exo_par.Pool.default_jobs ()) ()
+  let oc = open_out file in
+  output_string oc (Json.pretty (Json.Obj (meta :: members)));
+  close_out oc
 
 (* ------------------------------------------------------------------ *)
 (* The run ledger: when a path is configured ([-ledger FILE] or          *)
 (* $UKRGEN_LEDGER), every perf subcommand appends one schema-versioned   *)
-(* JSONL record — keyed by the same provenance fields as meta_json —     *)
-(* that [ukrgen report] later renders and gates against the host's       *)
-(* baseline window.                                                     *)
+(* JSONL record — keyed by the same provenance fields as the meta        *)
+(* member — that [ukrgen report] later renders and gates against the     *)
+(* host's baseline window.                                               *)
 
 module Ledger = Exo_ledger.Ledger
 
@@ -289,36 +294,28 @@ let run_perf_sim ?(smoke = false) () =
   Fmt.pr "tuner sweep: 1 domain %.3f ms | %d domains %.3f ms (%.2fx); rankings \
           identical@."
     (t_sweep1 *. 1e3) jobs_n (t_sweepn *. 1e3) (t_sweep1 /. t_sweepn);
-  let oc = open_out "BENCH_sim.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  %s,\n\
-    \  \"smoke\": %b,\n\
-    \  \"trace_machine\": \"%s\",\n\
-    \  \"trace_blocking\": [%d, %d, %d],\n\
-    \  \"trace_dim\": %d,\n\
-    \  \"trace_refs\": %d,\n\
-    \  \"element_mrefs_per_sec\": %.2f,\n\
-    \  \"compressed_mrefs_per_sec\": %.2f,\n\
-    \  \"compressed_speedup\": %.2f,\n\
-    \  \"domains_available\": %d,\n\
-    \  \"pool_jobs\": %d,\n\
-    \  \"lint_ms_1job\": %.2f,\n\
-    \  \"lint_ms_njobs\": %.2f,\n\
-    \  \"lint_speedup\": %.2f,\n\
-    \  \"lint_outcomes_identical\": true,\n\
-    \  \"tuner_ms_1job\": %.3f,\n\
-    \  \"tuner_ms_njobs\": %.3f,\n\
-    \  \"tuner_speedup\": %.2f,\n\
-    \  \"tuner_rankings_identical\": true\n\
-     }\n"
-    (meta_json ()) smoke
-    (if smoke then "toy" else "carmel")
-    mc kc nc dim fast.CS.refs (refs /. t_slow /. 1e6) (refs /. t_fast /. 1e6)
-    sim_speedup domains jobs_n (t_lint1 *. 1e3) (t_lintn *. 1e3)
-    (t_lint1 /. t_lintn) (t_sweep1 *. 1e3) (t_sweepn *. 1e3)
-    (t_sweep1 /. t_sweepn);
-  close_out oc;
+  write_bench "BENCH_sim.json"
+    Json.
+      [
+        ("smoke", Bool smoke);
+        ("trace_machine", Str (if smoke then "toy" else "carmel"));
+        ("trace_blocking", Arr [ of_int mc; of_int kc; of_int nc ]);
+        ("trace_dim", of_int dim);
+        ("trace_refs", of_int fast.CS.refs);
+        ("element_mrefs_per_sec", Num (refs /. t_slow /. 1e6));
+        ("compressed_mrefs_per_sec", Num (refs /. t_fast /. 1e6));
+        ("compressed_speedup", Num sim_speedup);
+        ("domains_available", of_int domains);
+        ("pool_jobs", of_int jobs_n);
+        ("lint_ms_1job", Num (t_lint1 *. 1e3));
+        ("lint_ms_njobs", Num (t_lintn *. 1e3));
+        ("lint_speedup", Num (t_lint1 /. t_lintn));
+        ("lint_outcomes_identical", Bool true);
+        ("tuner_ms_1job", Num (t_sweep1 *. 1e3));
+        ("tuner_ms_njobs", Num (t_sweepn *. 1e3));
+        ("tuner_speedup", Num (t_sweep1 /. t_sweepn));
+        ("tuner_rankings_identical", Bool true);
+      ];
   (* smoke runs trace a toy hierarchy at 144³ — a different scale entirely —
      so they ledger under their own bench name and never mix baselines with
      full runs *)
@@ -634,34 +631,29 @@ let run_perf_gemm ?(smoke = false) () =
         let m, n, k = W.gemm_dims l in
         let a = M.random_int m k st and b = M.random_int k n st in
         let c = M.random_int m n st in
-        ( l,
-          {
-            G.p_a = a;
-            p_b = b;
-            p_c = c;
-            p_alpha = 1.0;
-            p_beta = 1.0;
-            p_blocking = blocking;
-            p_mr = mr;
-            p_nr = nr;
-          } ))
+        {
+          G.p_a = a;
+          p_b = b;
+          p_c = c;
+          p_alpha = 1.0;
+          p_beta = 1.0;
+          p_blocking = blocking;
+          p_mr = mr;
+          p_nr = nr;
+        })
       layers
   in
   let ws = G.workspace () in
   let t0 = Unix.gettimeofday () in
-  G.batch_ba ~ws ~kernels (List.map snd probs);
+  G.batch_ba ~ws ~kernels probs;
   let t_batch = Unix.gettimeofday () -. t0 in
-  let batch_rows =
-    List.map
-      (fun ((l : W.layer), (p : G.problem)) ->
+  let batch_flops =
+    List.fold_left
+      (fun acc l ->
         let m, n, k = W.gemm_dims l in
-        let flops = 2.0 *. float_of_int (m * n * k) in
-        (* per-layer share of the batch time, apportioned by flops *)
-        ignore p;
-        (l.W.id, m, n, k, flops))
-      probs
+        acc +. (2.0 *. float_of_int (m * n * k)))
+      0.0 layers
   in
-  let batch_flops = List.fold_left (fun s (_, _, _, _, f) -> s +. f) 0.0 batch_rows in
   let batch_gflops = batch_flops /. t_batch /. 1e9 in
   Fmt.pr "ResNet50 slice (%d layers) via Gemm.batch_ba: %.2f s  (%.3f GFLOPS)@."
     (List.length layers) t_batch batch_gflops;
@@ -740,102 +732,109 @@ let run_perf_gemm ?(smoke = false) () =
      measure scheduling pressure rather than parallel speedup *)
   let host_cores = Domain.recommended_domain_count () in
   let oversubscribed = host_cores < 4 in
-  let oc = open_out "BENCH_gemm.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  %s,\n\
-    \  \"smoke\": %b,\n\
-    \  \"ukr\": {\n\
-    \    \"kernel\": \"uk_%dx%d_neon-f32\",\n\
-    \    \"kc\": %d,\n\
-    \    \"bigarray_us_per_call\": %.3f\n\
-    \  },\n\
-    \  \"native\": {\n\
-    \    \"native_enabled\": %b,\n\
-    \    \"target\": %S,\n\
-    \    \"cc\": %S,\n\
-    \    \"isa\": %S,\n\
-    \    \"entries\": %d,\n\
-    \    \"rejected\": %d,\n\
-    \    \"reason\": %S,\n\
-    \    \"native_us_per_call\": %.3f,\n\
-    \    \"native_calls\": %d,\n\
-    \    \"bigarray_seconds_1job\": %.3f,\n\
-    \    \"speedup_vs_bigarray\": %.2f,\n\
-    \    \"bit_exact_vs_bigarray\": true\n\
-    \  },\n\
-    \  \"tierlint\": {\n\
-    \    \"proved\": %d,\n\
-    \    \"total\": %d,\n\
-    \    \"probe_disagreements\": %d,\n\
-    \    \"registry_certified\": %b\n\
-    \  },\n\
-    \  \"gemm\": {\n\
-    \    \"dim\": %d,\n\
-    \    \"blocking\": [%d, %d, %d],\n\
-    \    \"seconds_1job\": %.3f,\n\
-    \    \"gflops_1job\": %.4f,\n\
-    \    \"fast_calls\": %d,\n\
-    \    \"fallback_calls\": %d,\n\
-    \    \"sweep_batch_fallback_calls\": %d,\n\
-    \    \"validated_vs_naive_f32\": true\n\
-    \  },\n\
-    \  \"jobs_invariance\": {\n\
-    \    \"nc_split\": %d,\n\
-    \    \"mc_split\": %d,\n\
-    \    \"tasks\": %d,\n\
-    \    \"host_cores\": %d,\n\
-    \    \"oversubscribed\": %b,\n\
-    \    \"seconds_by_width\": {%s},\n\
-    \    \"identical\": %b\n\
-    \  },\n\
-    \  \"small_n\": {\n\
-    \    \"layer\": \"resnet50 layer 2\",\n\
-    \    \"m\": %d,\n\
-    \    \"n\": %d,\n\
-    \    \"k\": %d,\n\
-    \    \"jc_tasks\": %d,\n\
-    \    \"ic_tasks\": %d,\n\
-    \    \"host_cores\": %d,\n\
-    \    \"oversubscribed\": %b,\n\
-    \    \"seconds_by_width\": {%s},\n\
-    \    \"jobs_identical\": %b,\n\
-    \    \"small_n_validated_vs_naive_f32\": true\n\
-    \  },\n\
-    \  \"batch\": {\n\
-    \    \"model\": \"resnet50\",\n\
-    \    \"tier\": \"bigarray\",\n\
-    \    \"layers\": [%s],\n\
-    \    \"seconds\": %.3f,\n\
-    \    \"gflops\": %.4f\n\
-    \  }\n\
-     }\n"
-    (meta_json ()) smoke mr nr kc (t_ba *. 1e6) nat_info.R.ni_enabled nat_info.R.ni_target
-    nat_info.R.ni_cc
-    (match Exo_native.Host.isas () with
-    | [] -> "generic"
-    | l -> String.concat "," (List.map Exo_native.Host.isa_name l))
-    nat_info.R.ni_entries nat_info.R.ni_rejected nat_info.R.ni_reason
-    (t_native_ukr *. 1e6) native_calls_run t_ba_gemm native_speedup
-    tk.L.tk_proved tk.L.tk_total tk.L.tk_disagreements
-    reg_certified dim blocking.Exo_blis.Analytical.mc
-    blocking.Exo_blis.Analytical.kc blocking.Exo_blis.Analytical.nc t_serial
-    gemm_gflops fast_calls
-    fallback_calls phase2_fallback par_blocking.Exo_blis.Analytical.nc
-    par_blocking.Exo_blis.Analytical.mc par_tasks host_cores oversubscribed
-    (String.concat ", "
-       (List.map (fun (j, t) -> Printf.sprintf "\"%d\": %.3f" j t) par_times))
-    jobs_identical sn_m sn_n sn_k sn_jc sn_ic host_cores oversubscribed
-    (String.concat ", "
-       (List.map (fun (j, t) -> Printf.sprintf "\"%d\": %.3f" j t) sn_times))
-    sn_identical
-    (String.concat ", "
-       (List.map
-          (fun (id, m, n, k, _) ->
-            Printf.sprintf "{\"id\": %d, \"m\": %d, \"n\": %d, \"k\": %d}" id m n k)
-          batch_rows))
-    t_batch batch_gflops;
-  close_out oc;
+  let by_width times =
+    Json.Obj (List.map (fun (j, t) -> (string_of_int j, Json.Num t)) times)
+  in
+  write_bench "BENCH_gemm.json"
+    Json.
+      [
+        ("smoke", Bool smoke);
+        ( "ukr",
+          Obj
+            [
+              ("kernel", Str (Printf.sprintf "uk_%dx%d_neon-f32" mr nr));
+              ("kc", of_int kc);
+              ("bigarray_us_per_call", Num (t_ba *. 1e6));
+            ] );
+        ( "native",
+          Obj
+            [
+              ("native_enabled", Bool nat_info.R.ni_enabled);
+              ("target", Str nat_info.R.ni_target);
+              ("cc", Str nat_info.R.ni_cc);
+              ("isa", Str host_isa);
+              ("entries", of_int nat_info.R.ni_entries);
+              ("rejected", of_int nat_info.R.ni_rejected);
+              ("reason", Str nat_info.R.ni_reason);
+              ("native_us_per_call", Num (t_native_ukr *. 1e6));
+              ("native_calls", of_int native_calls_run);
+              ("bigarray_seconds_1job", Num t_ba_gemm);
+              ("speedup_vs_bigarray", Num native_speedup);
+              ("bit_exact_vs_bigarray", Bool true);
+            ] );
+        ( "tierlint",
+          Obj
+            [
+              ("proved", of_int tk.L.tk_proved);
+              ("total", of_int tk.L.tk_total);
+              ("probe_disagreements", of_int tk.L.tk_disagreements);
+              ("registry_certified", Bool reg_certified);
+            ] );
+        ( "gemm",
+          Obj
+            [
+              ("dim", of_int dim);
+              ( "blocking",
+                let { Exo_blis.Analytical.mc; kc; nc } = blocking in
+                Arr [ of_int mc; of_int kc; of_int nc ] );
+              ("seconds_1job", Num t_serial);
+              ("gflops_1job", Num gemm_gflops);
+              ("fast_calls", of_int fast_calls);
+              ("fallback_calls", of_int fallback_calls);
+              ("sweep_batch_fallback_calls", of_int phase2_fallback);
+              ("validated_vs_naive_f32", Bool true);
+            ] );
+        ( "jobs_invariance",
+          Obj
+            [
+              ("nc_split", of_int par_blocking.Exo_blis.Analytical.nc);
+              ("mc_split", of_int par_blocking.Exo_blis.Analytical.mc);
+              ("tasks", of_int par_tasks);
+              ("host_cores", of_int host_cores);
+              ("oversubscribed", Bool oversubscribed);
+              ("seconds_by_width", by_width par_times);
+              ("identical", Bool jobs_identical);
+            ] );
+        ( "small_n",
+          Obj
+            [
+              ("layer", Str "resnet50 layer 2");
+              ("m", of_int sn_m);
+              ("n", of_int sn_n);
+              ("k", of_int sn_k);
+              ("jc_tasks", of_int sn_jc);
+              ("ic_tasks", of_int sn_ic);
+              ("host_cores", of_int host_cores);
+              ("oversubscribed", Bool oversubscribed);
+              ("seconds_by_width", by_width sn_times);
+              ("jobs_identical", Bool sn_identical);
+              ("small_n_validated_vs_naive_f32", Bool true);
+            ] );
+        ( "batch",
+          Obj
+            [
+              ("model", Str "resnet50");
+              (* Gemm.batch_ba ran the serving bank: machine code whenever
+                 the native tier is enabled *)
+              ( "tier",
+                Str (if nat_info.R.ni_enabled then "native" else "bigarray") );
+              ( "layers",
+                Arr
+                  (List.map
+                     (fun (l : W.layer) ->
+                       let m, n, k = W.gemm_dims l in
+                       Obj
+                         [
+                           ("id", of_int l.W.id);
+                           ("m", of_int m);
+                           ("n", of_int n);
+                           ("k", of_int k);
+                         ])
+                     layers) );
+              ("seconds", Num t_batch);
+              ("gflops", Num batch_gflops);
+            ] );
+      ];
   ledger_append ~bench:(if smoke then "perf-gemm-smoke" else "perf-gemm")
     ([
        Ledger.metric_of_samples ~unit_:"GFLOPS" Ledger.Higher "gemm.gflops_1job"
@@ -1111,52 +1110,54 @@ let run_perf_serve ?(smoke = false) () =
     warm_vs_cold;
   if warm_vs_cold < 50.0 then
     failwith "perf-serve: warm requests are not >= 50x faster than cold one-shots";
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  %s,\n\
-    \  \"smoke\": %b,\n\
-    \  \"cache\": {\n\
-    \    \"entries\": {\"kernel\": %d, \"family\": %d, \"tuner\": %d},\n\
-    \    \"cold_build_seconds\": %.3f,\n\
-    \    \"cold_hits\": %d,\n\
-    \    \"cold_misses\": %d,\n\
-    \    \"cold_writes\": %d,\n\
-    \    \"hydrated_build_seconds\": %.3f,\n\
-    \    \"hydrated_hits\": %d,\n\
-    \    \"hydrated_misses\": %d,\n\
-    \    \"build_speedup\": %.2f,\n\
-    \    \"hydrated_bit_identical\": true,\n\
-    \    \"tierlint_proved\": %d,\n\
-    \    \"tierlint_total\": %d,\n\
-    \    \"tuner_fresh_seconds\": %.4f,\n\
-    \    \"tuner_disk_seconds\": %.4f,\n\
-    \    \"tuner_ranking_identical\": true\n\
-    \  },\n\
-    \  \"serve\": {\n\
-    \    \"workers\": %d,\n\
-    \    \"daemon_start_seconds\": %.3f,\n\
-    \    \"warm_requests\": %d,\n\
-    \    \"warm_mean_seconds\": %.6f,\n\
-    \    \"warm_min_seconds\": %.6f,\n\
-    \    \"concurrent_clients\": %d,\n\
-    \    \"concurrent_requests_each\": %d,\n\
-    \    \"concurrent_ok\": %b,\n\
-    \    \"request_span_observed\": %b,\n\
-    \    \"requests_total\": %d,\n\
-    \    \"request_errors\": %d\n\
-    \  },\n\
-    \  \"cold_oneshot_mode\": %S,\n\
-    \  \"cold_oneshot_seconds\": %.4f,\n\
-    \  \"warm_vs_cold_speedup\": %.1f\n\
-     }\n"
-    (meta_json ()) smoke kernel_entries family_entries tuner_entries
-    t_cold_build cold_hits cold_misses cold_writes t_warm_build warm_hits
-    warm_misses build_speedup tk.L.tk_proved tk.L.tk_total t_tuner_cold
-    t_tuner_disk workers t_daemon_start warm_requests warm_mean !warm_min
-    burst_clients burst_each burst_ok span_observed req_total req_errors
-    cold_mode t_cold_oneshot warm_vs_cold;
-  close_out oc;
+  write_bench "BENCH_serve.json"
+    Json.
+      [
+        ("smoke", Bool smoke);
+        ( "cache",
+          Obj
+            [
+              ( "entries",
+                Obj
+                  [
+                    ("kernel", of_int kernel_entries);
+                    ("family", of_int family_entries);
+                    ("tuner", of_int tuner_entries);
+                  ] );
+              ("cold_build_seconds", Num t_cold_build);
+              ("cold_hits", of_int cold_hits);
+              ("cold_misses", of_int cold_misses);
+              ("cold_writes", of_int cold_writes);
+              ("hydrated_build_seconds", Num t_warm_build);
+              ("hydrated_hits", of_int warm_hits);
+              ("hydrated_misses", of_int warm_misses);
+              ("build_speedup", Num build_speedup);
+              ("hydrated_bit_identical", Bool true);
+              ("tierlint_proved", of_int tk.L.tk_proved);
+              ("tierlint_total", of_int tk.L.tk_total);
+              ("tuner_fresh_seconds", Num t_tuner_cold);
+              ("tuner_disk_seconds", Num t_tuner_disk);
+              ("tuner_ranking_identical", Bool true);
+            ] );
+        ( "serve",
+          Obj
+            [
+              ("workers", of_int workers);
+              ("daemon_start_seconds", Num t_daemon_start);
+              ("warm_requests", of_int warm_requests);
+              ("warm_mean_seconds", Num warm_mean);
+              ("warm_min_seconds", Num !warm_min);
+              ("concurrent_clients", of_int burst_clients);
+              ("concurrent_requests_each", of_int burst_each);
+              ("concurrent_ok", Bool burst_ok);
+              ("request_span_observed", Bool span_observed);
+              ("requests_total", of_int req_total);
+              ("request_errors", of_int req_errors);
+            ] );
+        ("cold_oneshot_mode", Str cold_mode);
+        ("cold_oneshot_seconds", Num t_cold_oneshot);
+        ("warm_vs_cold_speedup", Num warm_vs_cold);
+      ];
   ledger_append ~bench:(if smoke then "perf-serve-smoke" else "perf-serve")
     [
       Ledger.metric_of_samples ~unit_:"us" Ledger.Lower "serve.warm_rt_us"

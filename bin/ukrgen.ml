@@ -43,6 +43,23 @@ let kit_conv =
   in
   Arg.conv (parse, fun ppf k -> Fmt.string ppf k.Kits.name)
 
+let shape_conv =
+  let parse s =
+    match Family.parse_shape s with
+    | Some shape -> Ok shape
+    | None -> Error (`Msg (Fmt.str "SHAPE must be MRxNR (got %S)" s))
+  in
+  Arg.conv (parse, fun ppf (mr, nr) -> Fmt.pf ppf "%dx%d" mr nr)
+
+(* [KIT SHAPE] positionals of [trace] and [native] *)
+let kit_pos =
+  Arg.(required & pos 0 (some kit_conv) None & info [] ~docv:"KIT"
+         ~doc:"Target kit (e.g. neon-f32).")
+
+let shape_pos =
+  Arg.(required & pos 1 (some shape_conv) None & info [] ~docv:"SHAPE"
+         ~doc:"Micro-kernel shape as MRxNR (e.g. 8x12).")
+
 let kit =
   Arg.(value & opt kit_conv Kits.neon_f32 & info [ "kit" ] ~docv:"KIT"
          ~doc:("Target instruction kit: " ^ kit_names ^ "."))
@@ -64,7 +81,7 @@ let write_out out s =
       close_out oc;
       Fmt.pr "wrote %s@." path
 
-let kernel_prov_json (k : Family.kernel) : string =
+let kernel_prov_json (k : Family.kernel) : Obs.Json.t =
   Obs.Provenance.to_json ~kernel:k.Family.proc.Exo_ir.Ir.p_name
     ~kit:k.Family.kit.Kits.name
     ~style:(Family.style_name k.Family.style)
@@ -154,7 +171,7 @@ let generate_cmd =
          | None -> None
        in
        (match sidecar with
-       | Some f -> write_out (Some f) (kernel_prov_json k)
+       | Some f -> write_out (Some f) (Obs.Json.pretty (kernel_prov_json k))
        | None -> ());
        `Ok ()
      with
@@ -186,7 +203,7 @@ let family_cmd =
     | Some path ->
         write_out
           (Some (Filename.remove_extension path ^ ".prov.json"))
-          ("[\n" ^ String.concat ",\n" (List.map kernel_prov_json fam) ^ "]\n")
+          (Obs.Json.pretty (Obs.Json.Arr (List.map kernel_prov_json fam)))
     | None -> ());
     `Ok ()
   in
@@ -584,14 +601,6 @@ let report_cmd =
 (* --- trace --------------------------------------------------------------- *)
 
 let trace_cmd =
-  let kit_pos =
-    Arg.(required & pos 0 (some kit_conv) None & info [] ~docv:"KIT"
-           ~doc:"Target kit (e.g. neon-f32).")
-  in
-  let shape_pos =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"SHAPE"
-           ~doc:"Micro-kernel shape as MRxNR (e.g. 8x12).")
-  in
   let out =
     Arg.(value & opt string "trace.json" & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Chrome trace-event JSON output (open in Perfetto).")
@@ -600,63 +609,49 @@ let trace_cmd =
     Arg.(value & opt (some string) None & info [ "provenance" ] ~docv:"FILE"
            ~doc:"Also write the kernel's provenance sidecar to $(docv).")
   in
-  let parse_shape s =
-    match String.index_opt s 'x' with
-    | Some i -> (
-        match
-          ( int_of_string_opt (String.sub s 0 i),
-            int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) )
-        with
-        | Some mr, Some nr when mr >= 1 && nr >= 1 -> Some (mr, nr)
-        | _ -> None)
-    | None -> None
-  in
-  let run kit shape out prov =
-    match parse_shape shape with
-    | None -> `Error (true, Fmt.str "SHAPE must be MRxNR (got %S)" shape)
-    | Some (mr, nr) -> (
-        try
-          Obs.reset ();
-          Obs.enable ();
-          (* 1. the schedule: every primitive and certificate as sched.*
-             spans plus the provenance log ([Family.generate] directly, not
-             the registry memo — a warm cache would skip the spans) *)
-          let kern = Family.generate ~kit ~mr ~nr () in
-          (* 2. a small real GEMM through the BLIS macro-kernel, running
-             the generated kernel table: table build, pack-A / pack-B /
-             macro-kernel / micro-kernel dispatch spans *)
-          let m, n, k = (48, 48, 48) in
-          let blocking =
-            Exo_blis.Analytical.compute machine ~mr ~nr ~dtype_bytes:4
-          in
-          let a =
-            Exo_blis.Matrix.init m k (fun i j ->
-                float_of_int (((i + j) mod 5) - 2))
-          in
-          let b =
-            Exo_blis.Matrix.init k n (fun i j ->
-                float_of_int ((((2 * i) + j) mod 5) - 2))
-          in
-          let c = Exo_blis.Matrix.create m n in
-          Exo_blis.Gemm.blis_ba ~blocking ~mr ~nr
-            ~kernels:(Exo_blis.Registry.exo_bank ~kit ~mr ~nr ())
-            a b c;
-          (* 3. a tuner sweep across the domain pool and a cache-simulator
-             run: per-config spans, phase counters, pc-block progress *)
-          ignore (Exo_blis.Tuner.sweep ~kit machine ~m ~n ~k);
-          let { Exo_blis.Analytical.mc; kc; nc } = blocking in
-          ignore (Exo_sim.Cache_sim.gemm_trace machine ~mc ~kc ~nc ~mr ~nr ~m ~n ~k);
-          Obs.disable ();
-          let tr = Obs.drain () in
-          write_out (Some out) (Obs.Export.chrome_json tr);
-          (match prov with
-          | Some f -> write_out (Some f) (kernel_prov_json kern)
-          | None -> ());
-          Fmt.pr "%s@?" (Obs.Export.text_report tr);
-          `Ok ()
-        with Exo_sched.Sched.Sched_error msg | Invalid_argument msg ->
-          Obs.disable ();
-          `Error (false, msg))
+  let run kit (mr, nr) out prov =
+    try
+      Obs.reset ();
+      Obs.enable ();
+      (* 1. the schedule: every primitive and certificate as sched.*
+         spans plus the provenance log ([Family.generate] directly, not
+         the registry memo — a warm cache would skip the spans) *)
+      let kern = Family.generate ~kit ~mr ~nr () in
+      (* 2. a small real GEMM through the BLIS macro-kernel, running
+         the generated kernel table: table build, pack-A / pack-B /
+         macro-kernel / micro-kernel dispatch spans *)
+      let m, n, k = (48, 48, 48) in
+      let blocking =
+        Exo_blis.Analytical.compute machine ~mr ~nr ~dtype_bytes:4
+      in
+      let a =
+        Exo_blis.Matrix.init m k (fun i j ->
+            float_of_int (((i + j) mod 5) - 2))
+      in
+      let b =
+        Exo_blis.Matrix.init k n (fun i j ->
+            float_of_int ((((2 * i) + j) mod 5) - 2))
+      in
+      let c = Exo_blis.Matrix.create m n in
+      Exo_blis.Gemm.blis_ba ~blocking ~mr ~nr
+        ~kernels:(Exo_blis.Registry.exo_bank ~kit ~mr ~nr ())
+        a b c;
+      (* 3. a tuner sweep across the domain pool and a cache-simulator
+         run: per-config spans, phase counters, pc-block progress *)
+      ignore (Exo_blis.Tuner.sweep ~kit machine ~m ~n ~k);
+      let { Exo_blis.Analytical.mc; kc; nc } = blocking in
+      ignore (Exo_sim.Cache_sim.gemm_trace machine ~mc ~kc ~nc ~mr ~nr ~m ~n ~k);
+      Obs.disable ();
+      let tr = Obs.drain () in
+      write_out (Some out) (Obs.Export.chrome_json tr);
+      (match prov with
+      | Some f -> write_out (Some f) (Obs.Json.pretty (kernel_prov_json kern))
+      | None -> ());
+      Fmt.pr "%s@?" (Obs.Export.text_report tr);
+      `Ok ()
+    with Exo_sched.Sched.Sched_error msg | Invalid_argument msg ->
+      Obs.disable ();
+      `Error (false, msg)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -842,67 +837,44 @@ let run_cmd =
    graceful degradation means a cc-less host still produces an inspectable
    artifact. *)
 let native_cmd =
-  let kit_pos =
-    Arg.(required & pos 0 (some kit_conv) None & info [] ~docv:"KIT"
-           ~doc:"Target kit (e.g. avx2-f32).")
-  in
-  let shape_pos =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"SHAPE"
-           ~doc:"Micro-kernel shape as MRxNR (e.g. 8x12).")
-  in
   let out_dir =
     Arg.(value & opt string "native-artifacts" & info [ "out" ] ~docv:"DIR"
            ~doc:"Directory the $(i,.c) (and $(i,.so), when a C compiler \
                  exists) are written into (created if absent).")
   in
-  let parse_shape s =
-    match String.index_opt s 'x' with
-    | Some i -> (
-        match
-          ( int_of_string_opt (String.sub s 0 i),
-            int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) )
-        with
-        | Some mr, Some nr when mr >= 1 && nr >= 1 -> Some (mr, nr)
-        | _ -> None)
-    | None -> None
-  in
-  let run cache kit shape dir =
+  let run cache kit (mr, nr) dir =
     set_cache cache;
-    match parse_shape shape with
-    | None -> `Error (true, Fmt.str "SHAPE must be MRxNR (got %S)" shape)
-    | Some (mr, nr) -> (
-        try
-          match Exo_blis.Registry.native_emit ~kit ~mr ~nr () with
+    try
+      match Exo_blis.Registry.native_emit ~kit ~mr ~nr () with
+      | None ->
+          `Error
+            (false,
+             Fmt.str "kit %s is not f32: the native tier has no lowering"
+               kit.Kits.name)
+      | Some (target, src) ->
+          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+          let base =
+            Filename.concat dir (Fmt.str "%s_%dx%d" kit.Kits.name mr nr)
+          in
+          write_out (Some (base ^ ".c")) src;
+          Fmt.pr "target: %s@."
+            (Exo_codegen.C_emit.native_target_name target);
+          (match Exo_native.Host.cc () with
           | None ->
-              `Error
-                (false,
-                 Fmt.str "kit %s is not f32: the native tier has no lowering"
-                   kit.Kits.name)
-          | Some (target, src) ->
-              if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-              let base =
-                Filename.concat dir (Fmt.str "%s_%dx%d" kit.Kits.name mr nr)
-              in
-              write_out (Some (base ^ ".c")) src;
-              Fmt.pr "target: %s@."
-                (Exo_codegen.C_emit.native_target_name target);
-              (match Exo_native.Host.cc () with
-              | None ->
-                  Fmt.pr "no C compiler on this host: skipping the .so@.";
+              Fmt.pr "no C compiler on this host: skipping the .so@.";
+              `Ok ()
+          | Some cc -> (
+              match Exo_native.Jit.compile_c ~src with
+              | Ok so_bytes ->
+                  let oc = open_out_bin (base ^ ".so") in
+                  output_string oc so_bytes;
+                  close_out oc;
+                  Fmt.pr "wrote %s.so (%d bytes, cc %s)@." base
+                    (String.length so_bytes) cc;
                   `Ok ()
-              | Some cc -> (
-                  match Exo_native.Jit.compile_c ~src with
-                  | Ok so_bytes ->
-                      let oc = open_out_bin (base ^ ".so") in
-                      output_string oc so_bytes;
-                      close_out oc;
-                      Fmt.pr "wrote %s.so (%d bytes, cc %s)@." base
-                        (String.length so_bytes) cc;
-                      `Ok ()
-                  | Error msg ->
-                      `Error (false, Fmt.str "native compilation failed: %s" msg)))
-        with Exo_sched.Sched.Sched_error m | Invalid_argument m ->
-          `Error (false, m))
+              | Error msg ->
+                  `Error (false, Fmt.str "native compilation failed: %s" msg)))
+    with Exo_sched.Sched.Sched_error m | Invalid_argument m -> `Error (false, m)
   in
   Cmd.v
     (Cmd.info "native"

@@ -27,8 +27,6 @@
 
 open Exo_ukr_gen
 module KM = Exo_sim.Kernel_model
-module B = Exo_interp.Buffer
-module I = Exo_interp.Interp
 module C = Exo_interp.Compile
 module Tierlint = Exo_check.Tierlint
 module Memo = Exo_par.Memo
@@ -56,44 +54,17 @@ let neon_impl ?kit () : KM.impl = KM.neon_intrinsics_8x12 (base_8x12 ?kit ())
 (* ------------------------------------------------------------------ *)
 (* Numeric micro-kernels                                               *)
 
-(* Eager, not [lazy]: a [Lazy.t] forced concurrently from two domains
-   raises [Lazy.Undefined] in OCaml 5. The buffer is read-only (it backs
-   the α/β scalar arguments), so sharing one across domains is safe. *)
-let ones_buf = B.of_array Exo_ir.Dtype.F32 [ 1 ] [| 1.0 |]
-
-(* Zero-copy offset view over a caller array (row-major, dims as given):
-   how the interpreter sees an arena panel starting at [offset]. *)
-let view dt (data : float array) (dims : int list) (offset : int) : B.t =
-  let dims = Array.of_list dims in
-  let n = Array.length dims in
-  let strides = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    strides.(i) <- strides.(i + 1) * dims.(i + 1)
-  done;
-  { B.data; dtype = dt; dims; strides; offset }
-
 type tile =
   kc:int -> mr:int -> nr:int -> ac:float array -> ao:int -> bc:float array ->
   bo:int -> c:float array -> unit
-
-(* The generated kernel's argument list over a packed tile, alpha = beta = 1 *)
-let tile_args dt ~kc ~mr ~nr ~ac ~ao ~bc ~bo ~c =
-  [
-    I.VInt kc;
-    I.VBuf ones_buf;
-    I.VBuf (view dt ac [ kc; mr ] ao);
-    I.VBuf (view dt bc [ kc; nr ] bo);
-    I.VBuf ones_buf;
-    I.VBuf (view dt c [ nr; mr ] 0);
-  ]
 
 (** Run a generated kernel on a packed tile through the tree-walking
     interpreter, binding the caller's arrays as zero-copy buffer views —
     the definitional oracle the faster tiers are certified against. *)
 let exo_ukr_interp ?(kit = Kits.neon_f32) () : tile =
  fun ~kc ~mr ~nr ~ac ~ao ~bc ~bo ~c ->
-  I.run (exo_kernel ~kit ~mr ~nr ()).Family.proc
-    (tile_args kit.Kits.dt ~kc ~mr ~nr ~ac ~ao ~bc ~bo ~c)
+  C.run_tile ~dt:kit.Kits.dt (exo_kernel ~kit ~mr ~nr ()).Family.proc ~kc ~mr
+    ~nr ~ac ~ao ~bc ~bo ~c
 
 (* An mr×nr table entry over a tile function: the Bigarray operands round
    trip through float arrays. *)

@@ -651,17 +651,33 @@ let ukr_ba_generic ~(mr : int) ~(nr : int) : ukr_ba =
    schedule that reassociates the k-sum still matches; any proc computing
    a different function is rejected here and is served by the
    interpreter. *)
-let probe_ukr_ba (p : proc) ~(mr : int) ~(nr : int) : bool =
-  let one = Buffer.of_array Dtype.F32 [ 1 ] [| 1.0 |] in
-  let bufview data dims =
+(* Eager, not [lazy]: a [Lazy.t] forced concurrently from two domains
+   raises [Lazy.Undefined] in OCaml 5. The buffer is read-only (it backs
+   the α/β scalar arguments), so sharing one across domains is safe. *)
+let ones = Buffer.of_array Dtype.F32 [ 1 ] [| 1.0 |]
+
+let run_tile ?(dt = Dtype.F32) (p : proc) ~kc ~mr ~nr ~ac ~ao ~bc ~bo ~c : unit
+    =
+  let view data dims offset =
     {
       Buffer.data;
-      dtype = Dtype.F32;
+      dtype = dt;
       dims = Array.of_list dims;
       strides = Array.of_list (Ukr_lower.strides_of_const dims);
-      offset = 0;
+      offset;
     }
   in
+  Interp.run p
+    [
+      Interp.VInt kc;
+      Interp.VBuf ones;
+      Interp.VBuf (view ac [ kc; mr ] ao);
+      Interp.VBuf (view bc [ kc; nr ] bo);
+      Interp.VBuf ones;
+      Interp.VBuf (view c [ nr; mr ] 0);
+    ]
+
+let probe_ukr_ba (p : proc) ~(mr : int) ~(nr : int) : bool =
   let probe kc seed =
     let st = Random.State.make [| 0x6ba; seed; kc; mr; nr |] in
     let rnd () = float_of_int (Random.State.int st 2001 - 1000) in
@@ -677,17 +693,7 @@ let probe_ukr_ba (p : proc) ~(mr : int) ~(nr : int) : bool =
           done;
           !s)
     in
-    match
-      Interp.run p
-        [
-          Interp.VInt kc;
-          Interp.VBuf one;
-          Interp.VBuf (bufview ac [ kc; mr ]);
-          Interp.VBuf (bufview bc [ kc; nr ]);
-          Interp.VBuf one;
-          Interp.VBuf (bufview c [ nr; mr ]);
-        ]
-    with
+    match run_tile p ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c with
     | () -> c = expect
     | exception _ -> false
   in

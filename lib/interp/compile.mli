@@ -96,6 +96,24 @@ val to_ukr_ba :
     tampered artifact never enters service silently. *)
 val ukr_ba_of_summary : Summary.t -> ukr_ba option
 
+(** Run a generated kernel on one packed tile through {!Interp.run}: the
+    six-argument call [(kc, alpha = 1, A panel [kc; mr] at [ao], B panel
+    [kc; nr] at [bo], beta = 1, C tile [nr; mr])], binding the caller's
+    arrays as zero-copy row-major views of element type [dt] (default
+    F32). The one place the kernel calling convention is spelled out. *)
+val run_tile :
+  ?dt:Exo_ir.Dtype.t ->
+  Exo_ir.Ir.proc ->
+  kc:int ->
+  mr:int ->
+  nr:int ->
+  ac:float array ->
+  ao:int ->
+  bc:float array ->
+  bo:int ->
+  c:float array ->
+  unit
+
 (** The Bigarray tier's dynamic certificate, exposed so the bench and the
     [--tiers] lint sweep can cross-check it against the static verdicts:
     runs the proc through {!Interp.run} on integer probes and demands the

@@ -5,214 +5,13 @@
      an advisory [lockf] — concurrent writers interleave whole records;
    - load never trusts the file: each line parses independently and a bad
      line (torn tail, hand edit) is counted, skipped, and reported;
-   - the JSON layer below is deliberately tiny — the ledger depends on
-     nothing beyond the stdlib, [unix], and [exo_obs] (for the shared git
-     commit / identity fields and the JSON string escaper). *)
+   - the ledger depends on nothing beyond the stdlib, [unix], and
+     [exo_obs] (for the shared git commit / identity fields and the one
+     JSON tree, printer and parser, [Obs.Json]). *)
 
 module Obs = Exo_obs.Obs
 
-(* ------------------------------------------------------------------ *)
-(* JSON                                                                *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  let num_to_string (v : float) : string =
-    if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-    else Printf.sprintf "%.12g" v
-
-  let rec to_string (j : t) : string =
-    match j with
-    | Null -> "null"
-    | Bool b -> if b then "true" else "false"
-    | Num v -> num_to_string v
-    | Str s -> "\"" ^ Obs.json_escape s ^ "\""
-    | Arr xs -> "[" ^ String.concat "," (List.map to_string xs) ^ "]"
-    | Obj kvs ->
-        "{"
-        ^ String.concat ","
-            (List.map
-               (fun (k, v) -> "\"" ^ Obs.json_escape k ^ "\":" ^ to_string v)
-               kvs)
-        ^ "}"
-
-  exception Bad of string
-
-  (* recursive descent over a string; [pos] is the cursor *)
-  let parse (s : string) : (t, string) result =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let skip_ws () =
-      while
-        !pos < n
-        && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        advance ()
-      done
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %c" c)
-    in
-    let literal word v =
-      let l = String.length word in
-      if !pos + l <= n && String.sub s !pos l = word then begin
-        pos := !pos + l;
-        v
-      end
-      else fail ("expected " ^ word)
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string"
-        else
-          let c = s.[!pos] in
-          advance ();
-          if c = '"' then Buffer.contents b
-          else if c = '\\' then begin
-            (if !pos >= n then fail "unterminated escape"
-             else
-               let e = s.[!pos] in
-               advance ();
-               match e with
-               | '"' -> Buffer.add_char b '"'
-               | '\\' -> Buffer.add_char b '\\'
-               | '/' -> Buffer.add_char b '/'
-               | 'n' -> Buffer.add_char b '\n'
-               | 't' -> Buffer.add_char b '\t'
-               | 'r' -> Buffer.add_char b '\r'
-               | 'b' -> Buffer.add_char b '\b'
-               | 'f' -> Buffer.add_char b '\012'
-               | 'u' ->
-                   if !pos + 4 > n then fail "truncated \\u escape";
-                   let hex = String.sub s !pos 4 in
-                   pos := !pos + 4;
-                   let cp =
-                     try int_of_string ("0x" ^ hex)
-                     with _ -> fail "bad \\u escape"
-                   in
-                   (* UTF-8 encode the BMP code point *)
-                   if cp < 0x80 then Buffer.add_char b (Char.chr cp)
-                   else if cp < 0x800 then begin
-                     Buffer.add_char b (Char.chr (0xC0 lor (cp lsr 6)));
-                     Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-                   end
-                   else begin
-                     Buffer.add_char b (Char.chr (0xE0 lor (cp lsr 12)));
-                     Buffer.add_char b
-                       (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-                     Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-                   end
-               | _ -> fail "bad escape");
-            go ()
-          end
-          else begin
-            Buffer.add_char b c;
-            go ()
-          end
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let numchar c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && numchar s.[!pos] do
-        advance ()
-      done;
-      if !pos = start then fail "expected number";
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some v -> v
-      | None -> fail "bad number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin
-            advance ();
-            Obj []
-          end
-          else begin
-            let rec members acc =
-              skip_ws ();
-              let k = parse_string () in
-              skip_ws ();
-              expect ':';
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  members ((k, v) :: acc)
-              | Some '}' ->
-                  advance ();
-                  List.rev ((k, v) :: acc)
-              | _ -> fail "expected , or }"
-            in
-            Obj (members [])
-          end
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin
-            advance ();
-            Arr []
-          end
-          else begin
-            let rec elems acc =
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  elems (v :: acc)
-              | Some ']' ->
-                  advance ();
-                  List.rev (v :: acc)
-              | _ -> fail "expected , or ]"
-            in
-            Arr (elems [])
-          end
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (parse_number ())
-    in
-    match
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then fail "trailing garbage";
-      v
-    with
-    | v -> Ok v
-    | exception Bad msg -> Error msg
-
-  let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-  let str = function Str s -> Some s | _ -> None
-  let num = function Num v -> Some v | _ -> None
-  let bool_ = function Bool b -> Some b | _ -> None
-  let list_ = function Arr xs -> Some xs | _ -> None
-end
+module Json = Obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Robust statistics                                                   *)
@@ -368,7 +167,7 @@ let metric_to_json (m : metric) : Json.t =
       ("value", Json.Num m.m_value);
       ("median", Json.Num m.m_median);
       ("mad", Json.Num m.m_mad);
-      ("n", Json.Num (float_of_int m.m_n));
+      ("n", Json.of_int m.m_n);
       ("dir", Json.Str (dir_to_string m.m_dir));
       ("unit", Json.Str m.m_unit);
     ]
@@ -377,17 +176,15 @@ let to_json (r : record) : string =
   Json.to_string
     (Json.Obj
        ([
-          ("schema", Json.Num (float_of_int r.r_schema));
+          ("schema", Json.of_int r.r_schema);
           ("time", Json.Num r.r_time);
           ("bench", Json.Str r.r_bench);
           ("git_commit", Json.Str r.r_commit);
-          ("host_cores", Json.Num (float_of_int r.r_host_cores));
-          ("pool_jobs", Json.Num (float_of_int r.r_pool_jobs));
+          ("host_cores", Json.of_int r.r_host_cores);
+          ("pool_jobs", Json.of_int r.r_pool_jobs);
           ("ocaml_version", Json.Str r.r_ocaml);
         ]
-       @ (match r.r_flambda with
-         | None -> []
-         | Some f -> [ ("flambda", Json.Bool f) ])
+       @ Json.opt "flambda" (fun f -> Json.Bool f) r.r_flambda
        @ [ ("metrics", Json.Arr (List.map metric_to_json r.r_metrics)) ]))
 
 let metric_of_json (j : Json.t) : metric option =
@@ -808,11 +605,10 @@ module Report = struct
         ("unit", Json.Str v.v_unit);
         ("dir", Json.Str (dir_to_string v.v_dir));
         ("current", Json.Num v.v_current);
-        ("n_baseline", Json.Num (float_of_int v.v_n_baseline));
-        ( "baseline",
-          if Float.is_nan v.v_baseline then Json.Null else Json.Num v.v_baseline
-        );
-        ("noise", if Float.is_nan v.v_noise then Json.Null else Json.Num v.v_noise);
+        ("n_baseline", Json.of_int v.v_n_baseline);
+        (* nan (no comparable history) prints null *)
+        ("baseline", Json.Num v.v_baseline);
+        ("noise", Json.Num v.v_noise);
         ("regressed", Json.Bool v.v_regressed);
       ]
 
@@ -827,19 +623,13 @@ module Report = struct
                ("git_commit", Json.Str a.at_commit);
                ("time", Json.Num a.at_time);
              ]
-            @ (match a.at_dim with
-              | Some d -> [ ("dim", Json.Num (float_of_int d)) ]
-              | None -> [])
+            @ Json.opt "dim" Json.of_int a.at_dim
             @ [
                 ("measured_gflops", Json.Num a.at_measured);
                 ("model_gflops", Json.Num a.at_model);
               ]
-            @ (match a.at_peak with
-              | Some p -> [ ("model_peak_gflops", Json.Num p) ]
-              | None -> [])
-            @ (match a.at_dram_mb with
-              | Some d -> [ ("sim_dram_mb", Json.Num d) ]
-              | None -> [])
+            @ Json.opt "model_peak_gflops" (fun p -> Json.Num p) a.at_peak
+            @ Json.opt "sim_dram_mb" (fun d -> Json.Num d) a.at_dram_mb
             @ [
                 ("efficiency", Json.Num a.at_efficiency);
                 ("efficiency_ok", Json.Bool (efficiency_ok t));
@@ -855,17 +645,17 @@ module Report = struct
     Json.to_string
       (Json.Obj
          [
-           ("schema_version", Json.Num (float_of_int schema_version));
+           ("schema_version", Json.of_int schema_version);
            ( "ledger",
              Json.Obj
                [
                  ("path", Json.Str t.rp_path);
-                 ("records", Json.Num (float_of_int (List.length t.rp_records)));
-                 ("skipped", Json.Num (float_of_int t.rp_skipped));
+                 ("records", Json.of_int (List.length t.rp_records));
+                 ("skipped", Json.of_int t.rp_skipped);
                ] );
-           ("baseline_window", Json.Num (float_of_int t.rp_baseline));
+           ("baseline_window", Json.of_int t.rp_baseline);
            ("efficiency_gate", Json.Num t.rp_gate);
-           ("regressions", Json.Num (float_of_int (List.length (regressions t))));
+           ("regressions", Json.of_int (List.length (regressions t)));
            ("ok", Json.Bool (ok t));
            ("verdicts", Json.Arr (List.map verdict_json t.rp_verdicts));
            ("attribution", attribution);

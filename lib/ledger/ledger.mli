@@ -17,33 +17,12 @@
     tail, a hand-edit gone wrong — is counted and skipped, never fatal.
     The file is never rewritten in place; history is the point. *)
 
-(** {1 Minimal JSON} — parser + printer for the ledger's own lines and the
-    daemon access log. Not a general-purpose library: numbers are floats,
-    objects are assoc lists in input order. *)
+(** {1 JSON} — an alias of {!Exo_obs.Obs.Json}, the one JSON tree,
+    printer and parser, kept here because the benchmark harness in
+    [perfbench/] names it [Exo_ledger.Ledger.Json]. Ledger lines and
+    [report.json] are its compact {!Exo_obs.Obs.Json.to_string} output. *)
 
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val parse : string -> (t, string) result
-  (** Whole-string parse; trailing garbage is an error. *)
-
-  val to_string : t -> string
-  (** One line, no newlines; integral floats print without a [.]. *)
-
-  (** Accessors, [None] on shape mismatch. *)
-
-  val member : string -> t -> t option
-  val str : t -> string option
-  val num : t -> float option
-  val bool_ : t -> bool option
-  val list_ : t -> t list option
-end
+module Json = Exo_obs.Obs.Json
 
 (** {1 Robust statistics} *)
 

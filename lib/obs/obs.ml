@@ -259,21 +259,17 @@ let bits_of n =
   let rec go acc n = if n = 0 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
-let observe (h : histogram) (v : int) : unit =
-  if Atomic.get enabled_flag && v >= 0 then begin
-    ignore (Atomic.fetch_and_add h.h_cnt 1);
-    ignore (Atomic.fetch_and_add h.h_tot v);
-    ignore (Atomic.fetch_and_add h.h_bkt.(min 62 (bits_of v)) 1)
-  end
-
-(* the always-on variant: same cells, no master-switch gate — for metrics
-   whose contract is "always counted" (serve request latency) *)
+(* the always-on variant: no master-switch gate — for metrics whose
+   contract is "always counted" (serve request latency) *)
 let observe_always (h : histogram) (v : int) : unit =
   if v >= 0 then begin
     ignore (Atomic.fetch_and_add h.h_cnt 1);
     ignore (Atomic.fetch_and_add h.h_tot v);
     ignore (Atomic.fetch_and_add h.h_bkt.(min 62 (bits_of v)) 1)
   end
+
+let observe (h : histogram) (v : int) : unit =
+  if Atomic.get enabled_flag then observe_always h v
 
 let reset_histogram (h : histogram) : unit =
   Atomic.set h.h_cnt 0;
@@ -402,15 +398,7 @@ let drain () : trace =
       |> by_name fst;
     histograms =
       Mutex.protect histograms_lock (fun () ->
-          List.map
-            (fun h ->
-              ( h.h_name,
-                {
-                  h_count = Atomic.get h.h_cnt;
-                  h_sum = Atomic.get h.h_tot;
-                  h_buckets = Array.map Atomic.get h.h_bkt;
-                } ))
-            !histograms)
+          List.map (fun h -> (h.h_name, snapshot h)) !histograms)
       |> by_name fst;
     unclosed =
       List.filter_map
@@ -425,106 +413,280 @@ let reset () : unit =
   ignore (drain ());
   Mutex.protect counters_lock (fun () ->
       List.iter (fun c -> Atomic.set c.c_cell 0) !counters);
-  Mutex.protect histograms_lock (fun () ->
-      List.iter
-        (fun h ->
-          Atomic.set h.h_cnt 0;
-          Atomic.set h.h_tot 0;
-          Array.iter (fun b -> Atomic.set b 0) h.h_bkt)
-        !histograms);
+  Mutex.protect histograms_lock (fun () -> List.iter reset_histogram !histograms);
   Atomic.set region_ctr 0
 
 (* ------------------------------------------------------------------ *)
-(* JSON plumbing (shared by the exporters, the ledger and the daemon) *)
+(* JSON: the one tree, printer and parser every artifact goes through   *)
 
-let json_escape (s : string) : string =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = struct
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
 
-let json_args (args : (string * string) list) : string =
-  String.concat ","
-    (List.map
-       (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-       args)
+  (* the one escaper: quotes, backslash and control characters; UTF-8
+     passes through *)
+  let add_string (b : Buffer.t) (s : string) : unit =
+    Buffer.add_char b '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\t' -> Buffer.add_string b "\\t"
+        | '\r' -> Buffer.add_string b "\\r"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"'
+
+  let num_to_string (v : float) : string =
+    if not (Float.is_finite v) then "null"
+    else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+    else Printf.sprintf "%.12g" v
+
+  (* [indent = None]: compact, one line. [Some n]: one object member or
+     array element per line at depth [n + 2]; an array of scalars stays on
+     one line *)
+  let rec write (b : Buffer.t) (indent : int option) (j : t) : unit =
+    let scalar = function Arr _ | Obj _ -> false | _ -> true in
+    let block opn cls item xs =
+      Buffer.add_char b opn;
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char b ',';
+          match indent with
+          | None -> item None x
+          | Some n ->
+              Buffer.add_string b ("\n" ^ String.make (n + 2) ' ');
+              item (Some (n + 2)) x)
+        xs;
+      Option.iter (fun n -> Buffer.add_string b ("\n" ^ String.make n ' ')) indent;
+      Buffer.add_char b cls
+    in
+    match j with
+    | Null -> Buffer.add_string b "null"
+    | Bool v -> Buffer.add_string b (string_of_bool v)
+    | Num v -> Buffer.add_string b (num_to_string v)
+    | Str s -> add_string b s
+    | Arr [] -> Buffer.add_string b "[]"
+    | Obj [] -> Buffer.add_string b "{}"
+    | Arr xs when indent <> None && List.for_all scalar xs ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_string b ", ";
+            write b None x)
+          xs;
+        Buffer.add_char b ']'
+    | Arr xs -> block '[' ']' (fun ind x -> write b ind x) xs
+    | Obj kvs ->
+        block '{' '}'
+          (fun ind (k, v) ->
+            add_string b k;
+            Buffer.add_string b (if ind = None then ":" else ": ");
+            write b ind v)
+          kvs
+
+  let of_int (n : int) : t = Num (float_of_int n)
+  let opt k f = function Some v -> [ (k, f v) ] | None -> []
+
+  let to_string (j : t) : string =
+    let b = Buffer.create 256 in
+    write b None j;
+    Buffer.contents b
+
+  let pretty (j : t) : string =
+    let b = Buffer.create 1024 in
+    write b (Some 0) j;
+    Buffer.add_char b '\n';
+    Buffer.contents b
+
+  exception Bad of string
+
+  (* recursive descent over a string; [pos] is the cursor *)
+  let parse (s : string) : (t, string) result =
+    let n = String.length s and pos = ref 0 in
+    let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let next () =
+      if !pos >= n then fail "unexpected end of input";
+      Stdlib.incr pos;
+      s.[!pos - 1]
+    in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\t' | '\n' | '\r') ->
+          Stdlib.incr pos;
+          skip_ws ()
+      | _ -> ()
+    in
+    let expect c =
+      skip_ws ();
+      if next () <> c then fail (Printf.sprintf "expected %c" c)
+    in
+    let literal word v =
+      let l = String.length word in
+      if !pos + l <= n && String.sub s !pos l = word then (
+        pos := !pos + l;
+        v)
+      else fail ("expected " ^ word)
+    in
+    let string_body () =
+      expect '"';
+      let b = Buffer.create 16 in
+      let rec go () =
+        match next () with
+        | '"' -> Buffer.contents b
+        | '\\' ->
+            (match next () with
+            | ('"' | '\\' | '/') as c -> Buffer.add_char b c
+            | 'n' -> Buffer.add_char b '\n'
+            | 't' -> Buffer.add_char b '\t'
+            | 'r' -> Buffer.add_char b '\r'
+            | 'b' -> Buffer.add_char b '\b'
+            | 'f' -> Buffer.add_char b '\012'
+            | 'u' when !pos + 4 <= n -> (
+                match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
+                | Some cp ->
+                    pos := !pos + 4;
+                    (* a lone surrogate decodes to U+FFFD *)
+                    Buffer.add_utf_8_uchar b
+                      (if Uchar.is_valid cp then Uchar.of_int cp else Uchar.rep)
+                | None -> fail "bad \\u escape")
+            | _ -> fail "bad escape");
+            go ()
+        | c ->
+            Buffer.add_char b c;
+            go ()
+      in
+      go ()
+    in
+    let number () =
+      let start = !pos in
+      while !pos < n && String.contains "0123456789+-.eE" s.[!pos] do
+        Stdlib.incr pos
+      done;
+      match float_of_string_opt (String.sub s start (!pos - start)) with
+      | Some v -> Num v
+      | None -> fail "bad number"
+    in
+    let rec value () =
+      skip_ws ();
+      match peek () with
+      | Some '{' ->
+          Obj
+            (items '}' (fun () ->
+                 let k = string_body () in
+                 expect ':';
+                 (k, value ())))
+      | Some '[' -> Arr (items ']' value)
+      | Some '"' -> Str (string_body ())
+      | Some 't' -> literal "true" (Bool true)
+      | Some 'f' -> literal "false" (Bool false)
+      | Some 'n' -> literal "null" Null
+      | Some _ -> number ()
+      | None -> fail "unexpected end of input"
+    (* past the opening bracket: [item]s separated by ',' up to [close] *)
+    and items : 'a. char -> (unit -> 'a) -> 'a list =
+     fun close item ->
+      Stdlib.incr pos;
+      skip_ws ();
+      if peek () = Some close then (
+        Stdlib.incr pos;
+        [])
+      else
+        let rec more acc =
+          let acc = item () :: acc in
+          skip_ws ();
+          match next () with
+          | ',' -> more acc
+          | c when c = close -> List.rev acc
+          | _ -> fail (Printf.sprintf "expected , or %c" close)
+        in
+        more []
+    in
+    match
+      let v = value () in
+      skip_ws ();
+      if !pos <> n then fail "trailing garbage";
+      v
+    with
+    | v -> Ok v
+    | exception Bad msg -> Error msg
+
+  let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
+  let str = function Str s -> Some s | _ -> None
+  let num = function Num v -> Some v | _ -> None
+  let bool_ = function Bool b -> Some b | _ -> None
+  let list_ = function Arr xs -> Some xs | _ -> None
+end
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
 
 module Export = struct
   let chrome_json (tr : trace) : string =
-    let b = Buffer.create 4096 in
+    let open Json in
     let t_base =
       List.fold_left (fun acc e -> Float.min acc e.e_t0) infinity tr.events
     in
     let t_base = if Float.is_finite t_base then t_base else 0.0 in
-    let us t = (t -. t_base) *. 1e6 in
+    let us t = Num ((t -. t_base) *. 1e6) in
     let t_end =
       List.fold_left
         (fun acc e ->
           Float.max acc (match e.e_kind with KComplete t1 -> t1 | _ -> e.e_t0))
         t_base tr.events
     in
-    Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-    let first = ref true in
-    let emit line =
-      if not !first then Buffer.add_string b ",\n";
-      first := false;
-      Buffer.add_string b line
+    (* one trace_event: phase, domain, then the phase's own fields *)
+    let ev ph tid fields =
+      Obj (("ph", Str ph) :: ("pid", of_int 0) :: ("tid", of_int tid) :: fields)
+    in
+    let args kvs = ("args", Obj (List.map (fun (k, v) -> (k, Str v)) kvs)) in
+    let event e =
+      let span ph extra cat kvs =
+        ev ph e.e_tid
+          ((("ts", us e.e_t0) :: extra)
+          @ [ ("name", Str e.e_name); ("cat", Str cat); args kvs ])
+      in
+      match e.e_kind with
+      | KComplete t1 ->
+          span "X" [ ("dur", Num ((t1 -. e.e_t0) *. 1e6)) ] "span" e.e_args
+      | KInstant -> span "i" [ ("s", Str "t") ] "instant" e.e_args
+      | KUnclosed ->
+          span "i" [ ("s", Str "t") ] "instant"
+            (("error", "unclosed span") :: e.e_args)
     in
     (* thread-name metadata, one per domain seen *)
+    let thread tid =
+      ev "M" tid
+        [
+          ("name", Str "thread_name");
+          args [ ("name", Printf.sprintf "domain %d" tid) ];
+        ]
+    in
+    let counter (name, v) =
+      ev "C" 0
+        [ ("ts", us t_end); ("name", Str name); ("args", Obj [ ("value", of_int v) ]) ]
+    in
     let tids = List.sort_uniq compare (List.map (fun e -> e.e_tid) tr.events) in
-    List.iter
-      (fun tid ->
-        emit
-          (Printf.sprintf
-             "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"domain %d\"}}"
-             tid tid))
-      tids;
-    List.iter
-      (fun e ->
-        let args = json_args e.e_args in
-        match e.e_kind with
-        | KComplete t1 ->
-            emit
-              (Printf.sprintf
-                 "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"name\":\"%s\",\"cat\":\"span\",\"args\":{%s}}"
-                 e.e_tid (us e.e_t0)
-                 ((t1 -. e.e_t0) *. 1e6)
-                 (json_escape e.e_name) args)
-        | KInstant ->
-            emit
-              (Printf.sprintf
-                 "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\",\"name\":\"%s\",\"cat\":\"instant\",\"args\":{%s}}"
-                 e.e_tid (us e.e_t0) (json_escape e.e_name) args)
-        | KUnclosed ->
-            emit
-              (Printf.sprintf
-                 "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\",\"name\":\"%s\",\"cat\":\"instant\",\"args\":{\"error\":\"unclosed span\"%s%s}}"
-                 e.e_tid (us e.e_t0) (json_escape e.e_name)
-                 (if args = "" then "" else ",")
-                 args))
-      tr.events;
-    List.iter
-      (fun (name, v) ->
-        emit
-          (Printf.sprintf
-             "{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":%.3f,\"name\":\"%s\",\"args\":{\"value\":%d}}"
-             (us t_end) (json_escape name) v))
-      tr.counters;
-    Buffer.add_string b "\n]}\n";
-    Buffer.contents b
+    to_string
+      (Obj
+         [
+           ("displayTimeUnit", Str "ms");
+           ( "traceEvents",
+             Arr
+               (List.map thread tids @ List.map event tr.events
+              @ List.map counter tr.counters) );
+         ])
+    ^ "\n"
 
   (* self time: each closed span's duration is charged against its parent
      via the recorded per-domain parent links — exact, no heuristics *)
@@ -657,50 +819,40 @@ module Provenance = struct
   let all_ok (es : entry list) : bool =
     List.for_all (function Prim p -> p.ok | Step _ -> true) es
 
-  let entry_json (e : entry) : string =
+  let str s = Json.Str s
+  let opt = Json.opt
+
+  let entry_json (e : entry) : Json.t =
     match e with
     | Step { title; figure } ->
-        Printf.sprintf "    { \"kind\": \"step\", \"title\": \"%s\"%s }"
-          (json_escape title)
-          (match figure with
-          | Some f -> Printf.sprintf ", \"figure\": \"%s\"" (json_escape f)
-          | None -> "")
+        Json.Obj
+          ([ ("kind", Json.Str "step"); ("title", Json.Str title) ]
+          @ opt "figure" str figure)
     | Prim p ->
-        Printf.sprintf
-          "    { \"kind\": \"prim\", \"op\": \"%s\", \"pattern\": %s, \
-           \"nodes_before\": %d, \"nodes_after\": %d, \"cert_us\": %.1f, \
-           \"ok\": %b%s }"
-          (json_escape p.op)
-          (match p.pattern with
-          | Some pat -> Printf.sprintf "\"%s\"" (json_escape pat)
-          | None -> "null")
-          p.nodes_before p.nodes_after p.cert_us p.ok
-          (match p.detail with
-          | Some d -> Printf.sprintf ", \"detail\": \"%s\"" (json_escape d)
-          | None -> "")
+        Json.Obj
+          ([
+             ("kind", Json.Str "prim");
+             ("op", Json.Str p.op);
+             ("pattern", Option.fold ~none:Json.Null ~some:str p.pattern);
+             ("nodes_before", Json.of_int p.nodes_before);
+             ("nodes_after", Json.of_int p.nodes_after);
+             ("cert_us", Json.Num p.cert_us);
+             ("ok", Json.Bool p.ok);
+           ]
+          @ opt "detail" str p.detail)
 
   let to_json ~(kernel : string) ?kit ?style ?declared_steps (es : entry list) :
-      string =
-    let b = Buffer.create 2048 in
-    Buffer.add_string b "{\n";
-    Buffer.add_string b (Printf.sprintf "  \"kernel\": \"%s\",\n" (json_escape kernel));
-    (match kit with
-    | Some k -> Buffer.add_string b (Printf.sprintf "  \"kit\": \"%s\",\n" (json_escape k))
-    | None -> ());
-    (match style with
-    | Some s ->
-        Buffer.add_string b (Printf.sprintf "  \"style\": \"%s\",\n" (json_escape s))
-    | None -> ());
-    (match declared_steps with
-    | Some d -> Buffer.add_string b (Printf.sprintf "  \"declared_steps\": %d,\n" d)
-    | None -> ());
-    Buffer.add_string b (Printf.sprintf "  \"step_count\": %d,\n" (step_count es));
-    Buffer.add_string b (Printf.sprintf "  \"primitive_count\": %d,\n" (prim_count es));
-    Buffer.add_string b (Printf.sprintf "  \"certificates_ok\": %b,\n" (all_ok es));
-    Buffer.add_string b "  \"log\": [\n";
-    Buffer.add_string b (String.concat ",\n" (List.map entry_json es));
-    Buffer.add_string b "\n  ]\n}\n";
-    Buffer.contents b
+      Json.t =
+    Json.Obj
+      ((("kernel", Json.Str kernel) :: opt "kit" str kit)
+      @ opt "style" str style
+      @ opt "declared_steps" Json.of_int declared_steps
+      @ [
+          ("step_count", Json.of_int (step_count es));
+          ("primitive_count", Json.of_int (prim_count es));
+          ("certificates_ok", Json.Bool (all_ok es));
+          ("log", Json.Arr (List.map entry_json es));
+        ])
 
   let header_lines (es : entry list) : string list =
     let summary =
@@ -735,25 +887,18 @@ module Meta = struct
       | _ -> "unknown"
     with _ -> "unknown"
 
-  let json ?flambda ?host_cc ?host_isa ~pool_jobs () =
-    Printf.sprintf
-      "\"meta\": {\n\
-      \    \"schema_version\": %d,\n\
-      \    \"git_commit\": %S,\n\
-      \    \"host_cores\": %d,\n\
-      \    \"pool_jobs\": %d,\n\
-      \    \"ocaml_version\": %S%s%s%s\n\
-      \  }"
-      schema_version (git_commit ())
-      (Domain.recommended_domain_count ())
-      pool_jobs Sys.ocaml_version
-      (match flambda with
-      | None -> ""
-      | Some f -> Printf.sprintf ",\n    \"flambda\": %b" f)
-      (match host_cc with
-      | None -> ""
-      | Some cc -> Printf.sprintf ",\n    \"host_cc\": %S" cc)
-      (match host_isa with
-      | None -> ""
-      | Some isa -> Printf.sprintf ",\n    \"host_isa\": %S" isa)
+  let json ?flambda ?host_cc ?host_isa ~pool_jobs () : string * Json.t =
+    let str s = Json.Str s and opt = Json.opt in
+    ( "meta",
+      Json.Obj
+        ([
+           ("schema_version", Json.of_int schema_version);
+           ("git_commit", Json.Str (git_commit ()));
+           ("host_cores", Json.of_int (Domain.recommended_domain_count ()));
+           ("pool_jobs", Json.of_int pool_jobs);
+           ("ocaml_version", Json.Str Sys.ocaml_version);
+         ]
+        @ opt "flambda" (fun f -> Json.Bool f) flambda
+        @ opt "host_cc" str host_cc
+        @ opt "host_isa" str host_isa) )
 end

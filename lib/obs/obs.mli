@@ -2,8 +2,10 @@
 
     The repro's performance story is told per stage — scheduling rewrites,
     packing, macro-/micro-kernel phases, cache behaviour — and this module
-    is the one place every layer reports to. It depends on nothing beyond
-    the stdlib and [unix] (for the wall clock): no third-party packages.
+    is the one place every layer reports to. It is also the lowest library,
+    so it owns the one {!Json} tree and printer every artifact writer
+    builds on. It depends on nothing beyond the stdlib and [unix] (for the
+    wall clock): no third-party packages.
 
     {2 Cost contract}
 
@@ -150,12 +152,60 @@ val bucket_bounds : int -> int * int
     the true quantile. 0 when empty. *)
 val quantile : hsnap -> float -> float
 
+(** {1 JSON}
+
+    The one JSON tree, printer and parser. Every machine-readable artifact
+    this repo writes — the BENCH_*.json files, [tierlint.json], the Chrome
+    trace, the provenance sidecar, ledger records, [report.json] and the
+    daemon's access-log lines — is built as a {!Json.t} and printed here,
+    so there is exactly one string escaper. Not a general-purpose library:
+    numbers are floats, objects are assoc lists in input order. *)
+
+module Json : sig
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
+
+  val of_int : int -> t
+
+  (** [opt key f v]: the member [(key, f x)] when [v = Some x], else no
+      member — for optional fields. *)
+  val opt : string -> ('a -> t) -> 'a option -> (string * t) list
+
+  (** Compact, one line, no newline: the ledger and access-log format.
+      Integral floats below 1e15 print without a [.], other numbers with
+      12 significant digits; a non-finite number prints [null]. *)
+  val to_string : t -> string
+
+  (** The artifact-file format: ["key": value], one object member (or
+      array element) per line, two-space indent; arrays of scalars stay on
+      one line. Ends with a newline. Same scalars as {!to_string}, so CI
+      can grep a file line by line. *)
+  val pretty : t -> string
+
+  val parse : string -> (t, string) result
+  (** Whole-string parse; trailing garbage is an error. *)
+
+  (** Accessors, [None] on shape mismatch. *)
+
+  val member : string -> t -> t option
+  val str : t -> string option
+  val num : t -> float option
+  val bool_ : t -> bool option
+  val list_ : t -> t list option
+end
+
 (** {1 Exporters} *)
 
 module Export : sig
   (** Chrome [trace_event] JSON — load in [chrome://tracing] or Perfetto.
       Spans are complete ("X") events in microseconds; counters one final
-      "C" sample; unclosed spans instants flagged ["error": "unclosed"]. *)
+      "C" sample; unclosed spans instants flagged ["error": "unclosed"].
+      Printed compact ({!Json.to_string}) with a trailing newline. *)
   val chrome_json : trace -> string
 
   (** Plain-text profile: per-label count/total/self wall time (self =
@@ -212,17 +262,19 @@ module Provenance : sig
   (** Every primitive and certificate succeeded. *)
   val all_ok : entry list -> bool
 
-  (** The JSON sidecar emitted next to generated C. One [log] line per
-      entry (["kind": "step"|"prim"]), plus [step_count] /
-      [declared_steps] / [primitive_count] / [certificates_ok] headers —
-      CI cross-checks [step_count] against [declared_steps]. *)
+  (** The JSON sidecar emitted next to generated C (written with
+      {!Json.pretty}). One [log] object per entry, whose
+      ["kind": "step"|"prim"] member then sits on its own line, plus
+      [step_count] / [declared_steps] / [primitive_count] /
+      [certificates_ok] headers — CI cross-checks [step_count] against
+      [declared_steps]. *)
   val to_json :
     kernel:string ->
     ?kit:string ->
     ?style:string ->
     ?declared_steps:int ->
     entry list ->
-    string
+    Json.t
 
   (** Compact header-comment lines for {!Exo_codegen.C_emit} output. *)
   val header_lines : entry list -> string list
@@ -234,7 +286,7 @@ end
     emits carries — the BENCH_*.json files and [ukrgen lint --tiers
     --json] — so downstream tooling can always find the schema version,
     the commit the numbers were measured at, and the parallelism that was
-    available. One writer here keeps the files in lock-step: bump
+    available. One builder here keeps the files in lock-step: bump
     {!Meta.schema_version} when any of their shapes change. *)
 
 module Meta : sig
@@ -246,20 +298,17 @@ module Meta : sig
       checkout (e.g. a release tarball). *)
   val git_commit : unit -> string
 
-  (** The ["meta": {...}] object (no trailing comma/newline). [pool_jobs]
-      comes from the caller ({!Exo_par.Pool.default_jobs} — this library
-      sits below [exo_par]); [flambda] likewise (compiler-libs [Config]),
-      as do [host_cc] / [host_isa] (the native tier's capability probe,
-      [Exo_native.Host] — this library sits below it too) — each omitted
-      from the JSON when not passed. *)
+  (** The ["meta"] member, ready to head an artifact's top-level
+      {!Json.Obj}: [schema_version], [git_commit], [host_cores],
+      [pool_jobs], [ocaml_version]. [pool_jobs] comes from the caller
+      ({!Exo_par.Pool.default_jobs} — this library sits below [exo_par]);
+      [flambda] likewise (compiler-libs [Config]), as do [host_cc] /
+      [host_isa] (the native tier's capability probe, [Exo_native.Host] —
+      this library sits below it too) — each omitted when not passed. *)
   val json :
     ?flambda:bool -> ?host_cc:string -> ?host_isa:string -> pool_jobs:int ->
-    unit -> string
+    unit -> string * Json.t
 end
 
 (** Wall-clock microseconds (for callers timing sub-phases by hand). *)
 val now_us : unit -> float
-
-(** JSON string-body escaping (quotes, backslash, control characters;
-    UTF-8 passes through) — the one escaper every JSON writer shares. *)
-val json_escape : string -> string

@@ -116,14 +116,9 @@ exception Bad_request of string
 let fail fmt = Fmt.kstr (fun m -> raise (Bad_request m)) fmt
 
 let parse_shape s =
-  match String.index_opt s 'x' with
-  | Some i -> (
-      try
-        let mr = int_of_string (String.sub s 0 i)
-        and nr = int_of_string (String.sub s (i + 1) (String.length s - i - 1)) in
-        if mr < 1 || nr < 1 then fail "shape must be positive" else (mr, nr)
-      with Failure _ -> fail "malformed shape %S (want <MR>x<NR>)" s)
-  | None -> fail "malformed shape %S (want <MR>x<NR>)" s
+  match Family.parse_shape s with
+  | Some shape -> shape
+  | None -> fail "malformed shape %S (want positive <MR>x<NR>)" s
 
 let parse_kit name =
   match Kits.by_name name with
@@ -402,9 +397,15 @@ let handle_request (stop : bool Atomic.t) (line : string) : string list =
   | None -> ()
   | Some sink ->
       Ledger.Sink.write sink
-        (Printf.sprintf
-           "{\"ts\":%.6f,\"verb\":\"%s\",\"ok\":%b,\"us\":%d,\"lines\":%d}" t0
-           (Obs.json_escape verb) (not failed) us (List.length response)));
+        (Obs.Json.to_string
+           (Obs.Json.Obj
+              [
+                ("ts", Obs.Json.Num t0);
+                ("verb", Obs.Json.Str verb);
+                ("ok", Obs.Json.Bool (not failed));
+                ("us", Obs.Json.of_int us);
+                ("lines", Obs.Json.of_int (List.length response));
+              ])));
   response
 
 (* ------------------------------------------------------------------ *)
@@ -425,26 +426,63 @@ let stopping t = Atomic.get t.srv_stop
    flag can look, i.e. the worst-case drain latency of an idle worker. *)
 let poll_interval = 0.1
 
+(* The longest request line a worker buffers. Real requests are under 64
+   bytes; a client that never sends a newline must not make a worker
+   buffer without limit. *)
+let max_request_line = 4096
+
+exception Line_too_long
+
+(* [input_line] bounded by [max_request_line]; [None] at end of input *)
+let read_request (ic : in_channel) : string option =
+  let b = Buffer.create 64 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Some (Buffer.contents b)
+    | _ when Buffer.length b >= max_request_line -> raise Line_too_long
+    | c ->
+        Buffer.add_char b c;
+        go ()
+    | exception (End_of_file | Sys_error _) ->
+        if Buffer.length b = 0 then None else Some (Buffer.contents b)
+  in
+  go ()
+
 let handle_conn (stop : bool Atomic.t) (cfd : Unix.file_descr) : unit =
   (try Unix.clear_nonblock cfd with Unix.Unix_error _ -> ());
   let ic = Unix.in_channel_of_descr cfd in
   let oc = Unix.out_channel_of_descr cfd in
+  (* false when the client hung up before reading: an EPIPE must drop
+     this connection, not escape and take the worker (and the daemon)
+     down *)
+  let reply response =
+    try
+      List.iter
+        (fun l ->
+          output_string oc l;
+          output_char oc '\n')
+        response;
+      output_string oc ".\n";
+      flush oc;
+      true
+    with Sys_error _ -> false
+  in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | exception Sys_error _ -> ()
-    | line ->
-        let response = handle_request stop line in
-        List.iter
-          (fun l ->
-            output_string oc l;
-            output_char oc '\n')
-          response;
-        output_string oc ".\n";
-        flush oc;
+    match read_request ic with
+    | None -> ()
+    | exception Line_too_long ->
+        (* the rest of the line is never read: answer, count, and drop the
+           connection *)
+        Atomic.incr req_total;
+        Atomic.incr req_errors;
+        if Obs.enabled () then (
+          Obs.incr obs_requests;
+          Obs.incr obs_errors);
+        ignore (reply [ "ERR request line too long" ])
+    | Some line ->
         (* keep the connection for pipelined requests, but stop taking new
            work once shutdown was requested (drain semantics) *)
-        if not (Atomic.get stop) then loop ()
+        if reply (handle_request stop line) && not (Atomic.get stop) then loop ()
   in
   Fun.protect
     ~finally:(fun () ->

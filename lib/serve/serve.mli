@@ -12,7 +12,10 @@
     run requests batch through {!Exo_blis.Gemm.batch_ba}. Each request
     runs under an Obs span ([serve.request]) and bumps always-on per-verb
     counters. [workers] domains share the listening socket; shutdown is
-    graceful — in-flight connections drain before {!wait} returns. *)
+    graceful — in-flight connections drain before {!wait} returns. A
+    request line longer than 4 KiB is answered [ERR request line too
+    long], counted as a request and an error, and its connection is
+    closed. *)
 
 type t
 

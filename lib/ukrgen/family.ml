@@ -332,5 +332,13 @@ let generate_cached ?(kit = Kits.neon_f32) ~mr ~nr () : kernel =
 (** The kernel sizes the paper's evaluation uses (Section IV-C). *)
 let paper_shapes = [ (8, 12); (8, 8); (8, 4); (4, 12); (4, 8); (4, 4); (1, 12); (1, 8) ]
 
+let parse_shape (s : string) : (int * int) option =
+  match String.split_on_char 'x' s with
+  | [ m; n ] -> (
+      match (int_of_string_opt m, int_of_string_opt n) with
+      | Some mr, Some nr when mr >= 1 && nr >= 1 -> Some (mr, nr)
+      | _ -> None)
+  | _ -> None
+
 let paper_family ?(kit = Kits.neon_f32) () : kernel list =
   List.map (fun (mr, nr) -> generate ~kit ~mr ~nr ()) paper_shapes

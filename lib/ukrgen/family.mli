@@ -71,4 +71,9 @@ val scalar : Kits.t -> mr:int -> nr:int -> Exo_ir.Ir.proc
     8×12, 8×8, 8×4, 4×12, 4×8, 4×4, 1×12, 1×8. *)
 val paper_shapes : (int * int) list
 
+(** A kernel shape written ["MRxNR"] (e.g. ["8x12"]): [Some (mr, nr)] when
+    both are positive integers, else [None]. The one parser behind the
+    daemon's requests and the CLI's SHAPE arguments. *)
+val parse_shape : string -> (int * int) option
+
 val paper_family : ?kit:Kits.t -> unit -> kernel list

@@ -297,40 +297,41 @@ let pp_tiers ppf (o : tiers_outcome) =
     (List.length o.tier_kits)
     (if List.length o.tier_kits = 1 then "" else "s")
 
-(* a quoted JSON string (OCaml's %S would emit decimal escapes JSON does
-   not accept) *)
-let json_str s = "\"" ^ Exo_obs.Obs.json_escape s ^ "\""
-
 let tiers_json (o : tiers_outcome) : string =
+  let module J = Exo_obs.Obs.Json in
   let verdict = function
-    | T.Proved -> "\"proved\""
-    | T.Unproved m -> Fmt.str "{\"unproved\": %s}" (json_str m)
+    | T.Proved -> J.Str "proved"
+    | T.Unproved m -> J.Obj [ ("unproved", J.Str m) ]
   in
   let entry (e : tier_entry) =
-    Fmt.str
-      "    {\"kit\": %s, \"mr\": %d, \"nr\": %d, \"bounds\": %s, \"writes\": \
-       %s, \"accshape\": %s, \"probe\": %s}"
-      (json_str e.te_kit) e.te_mr e.te_nr
-      (verdict e.te_report.T.r_bounds)
-      (verdict e.te_report.T.r_writes)
-      (verdict e.te_report.T.r_accshape)
-      (match e.te_probe with
-      | Some true -> "true"
-      | Some false -> "false"
-      | None -> "null")
+    J.Obj
+      [
+        ("kit", J.Str e.te_kit);
+        ("mr", J.of_int e.te_mr);
+        ("nr", J.of_int e.te_nr);
+        ("bounds", verdict e.te_report.T.r_bounds);
+        ("writes", verdict e.te_report.T.r_writes);
+        ("accshape", verdict e.te_report.T.r_accshape);
+        ("probe", Option.fold ~none:J.Null ~some:(fun b -> J.Bool b) e.te_probe);
+      ]
   in
-  let kitline (k : tier_kit_summary) =
-    Fmt.str
-      "    {\"kit\": %s, \"proved\": %d, \"total\": %d, \"unproved_entries\": \
-       %d, \"probe_disagreements\": %d}"
-      (json_str k.tk_kit) k.tk_proved k.tk_total (k.tk_total - k.tk_proved)
-      k.tk_disagreements
+  let kit (k : tier_kit_summary) =
+    J.Obj
+      [
+        ("kit", J.Str k.tk_kit);
+        ("proved", J.of_int k.tk_proved);
+        ("total", J.of_int k.tk_total);
+        ("unproved_entries", J.of_int (k.tk_total - k.tk_proved));
+        ("probe_disagreements", J.of_int k.tk_disagreements);
+      ]
   in
-  (* the same meta block every BENCH_*.json carries, from the one shared
-     writer — downstream tooling keys on its schema_version *)
-  Fmt.str "{\n  %s,\n  \"kits\": [\n%s\n  ],\n  \"entries\": [\n%s\n  ],\n  \
-           \"all_proved\": %b\n}\n"
-    (Exo_obs.Obs.Meta.json ~pool_jobs:(Exo_par.Pool.default_jobs ()) ())
-    (String.concat ",\n" (List.map kitline o.tier_kits))
-    (String.concat ",\n" (List.map entry o.tier_entries))
-    (tiers_ok o)
+  (* the same meta member every BENCH_*.json carries — downstream tooling
+     keys on its schema_version *)
+  J.pretty
+    (J.Obj
+       [
+         Exo_obs.Obs.Meta.json ~pool_jobs:(Exo_par.Pool.default_jobs ()) ();
+         ("kits", J.Arr (List.map kit o.tier_kits));
+         ("entries", J.Arr (List.map entry o.tier_entries));
+         ("all_proved", J.Bool (tiers_ok o));
+       ])

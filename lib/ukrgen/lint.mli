@@ -103,7 +103,8 @@ val pp_tier_entry : Format.formatter -> tier_entry -> unit
     greps: ["KIT: proved P/T, unproved_entries U, probe_disagreements D"]. *)
 val pp_tiers : Format.formatter -> tiers_outcome -> unit
 
-(** The per-entry verdict document ([ukrgen lint --tiers --json]), carrying
-    the same ["meta"] block (schema version, git commit, host cores) as the
-    BENCH_*.json files, from the shared {!Exo_obs.Obs.Meta} writer. *)
+(** The per-entry verdict document ([ukrgen lint --tiers --json]), a
+    {!Exo_obs.Obs.Json.pretty} tree carrying the same ["meta"] member
+    (schema version, git commit, host cores) as the BENCH_*.json files,
+    from the shared {!Exo_obs.Obs.Meta.json}. *)
 val tiers_json : tiers_outcome -> string

@@ -325,8 +325,9 @@ let test_provenance_json () =
     ]
   in
   let js =
-    Obs.Provenance.to_json ~kernel:"uk_test" ~kit:"neon-f32" ~style:"packed"
-      ~declared_steps:1 entries
+    Obs.Json.pretty
+      (Obs.Provenance.to_json ~kernel:"uk_test" ~kit:"neon-f32" ~style:"packed"
+         ~declared_steps:1 entries)
   in
   let has affix = contains ~affix js in
   (* exact grep-able shapes CI relies on *)
@@ -411,6 +412,112 @@ let test_report_exit_codes () =
   check_int "missing ledger exits 123" 123
     (run_cli [ "report"; "--ledger"; path; "--check" ])
 
+(* --- the one JSON printer ---------------------------------------------------- *)
+
+module Json = Obs.Json
+
+let reparse what text =
+  match Json.parse text with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "%s does not reparse: %s" what e
+
+(* a string every writer must escape: quote, backslash, newline, tab, a raw
+   control byte, and UTF-8 that must pass through untouched *)
+let nasty = "q\"b\\s\nt\tc\001 caf\xc3\xa9"
+
+let test_writers_reparse () =
+  fresh ();
+  Obs.enable ();
+  Obs.with_span ~args:[ ("k", nasty); (nasty, "v") ] nasty (fun () ->
+      Obs.instant nasty);
+  ignore (Obs.begin_span "obs-test.left-open");
+  Obs.disable ();
+  let chrome = reparse "chrome trace" (Obs.Export.chrome_json (Obs.drain ())) in
+  fresh ();
+  check_bool "chrome trace carries the escaped span name" true
+    (match Option.bind (Json.member "traceEvents" chrome) Json.list_ with
+    | Some evs ->
+        List.exists (fun e -> Option.bind (Json.member "name" e) Json.str = Some nasty) evs
+    | None -> false);
+  let prov =
+    [
+      Obs.Provenance.Step { title = nasty; figure = Some nasty };
+      prim ~pattern:nasty nasty;
+      prim ~ok:false "failing";
+    ]
+  in
+  let pj =
+    reparse "provenance"
+      (Json.pretty (Obs.Provenance.to_json ~kernel:nasty ~kit:nasty ~declared_steps:1 prov))
+  in
+  check_bool "provenance kernel round-trips" true
+    (Option.bind (Json.member "kernel" pj) Json.str = Some nasty);
+  let meta = reparse "meta" (Json.pretty (Json.Obj [ Obs.Meta.json ~pool_jobs:2 () ])) in
+  check_bool "meta schema_version" true
+    (Option.bind (Json.member "meta" meta) (Json.member "schema_version")
+    = Some (Json.of_int Obs.Meta.schema_version));
+  let module L = Exo_ukr_gen.Lint in
+  let o = L.run_tiers ~kits:[ Exo_ukr_gen.Kits.neon_f32 ] ~jobs:1 ~mr:2 ~nr:2 () in
+  let tj = reparse "tiers_json" (L.tiers_json o) in
+  check_bool "tiers_json all_proved" true
+    (Option.bind (Json.member "all_proved" tj) Json.bool_ = Some true);
+  let module Ledger = Exo_ledger.Ledger in
+  let r =
+    Ledger.record ~pool_jobs:1 ~bench:nasty [ Ledger.metric Ledger.Info nasty Float.nan ]
+  in
+  let rj = reparse "ledger record" (Ledger.to_json r) in
+  check_bool "ledger bench round-trips" true
+    (Option.bind (Json.member "bench" rj) Json.str = Some nasty)
+
+let test_utf8_and_non_finite () =
+  let cc = "/usr/local/caf\xc3\xa9/cc" in
+  let doc = Json.Obj [ Obs.Meta.json ~host_cc:cc ~pool_jobs:1 () ] in
+  List.iter
+    (fun text ->
+      check_bool "host_cc round-trips" true
+        (Option.bind
+           (Option.bind (Json.member "meta" (reparse "meta" text)) (Json.member "host_cc"))
+           Json.str
+        = Some cc))
+    [ Json.to_string doc; Json.pretty doc ];
+  let nf = Json.Obj [ ("nan", Json.Num Float.nan); ("inf", Json.Arr [ Json.Num infinity; Json.Num neg_infinity ]) ] in
+  Alcotest.(check string) "non-finite prints null" {|{"nan":null,"inf":[null,null]}|} (Json.to_string nf);
+  check_bool "non-finite reparses as null" true
+    (reparse "non-finite" (Json.pretty nf)
+    = Json.Obj [ ("nan", Json.Null); ("inf", Json.Arr [ Json.Null; Json.Null ]) ])
+
+(* the ledger's and the access log's line format, byte for byte *)
+let test_compact_fixture () =
+  let j =
+    Json.Obj
+      [
+        ("s", Json.Str nasty);
+        ("int", Json.Num 42.0);
+        ("neg", Json.Num (-3.0));
+        ("frac", Json.Num 1.25);
+        ("third", Json.Num (1.0 /. 3.0));
+        ("big", Json.Num 1e15);
+        ("tiny", Json.Num 1.5e-7);
+        ("ts", Json.Num 1760760000.123456);
+        ("a", Json.Arr [ Json.Bool false; Json.Null; Json.Bool true ]);
+        ("o", Json.Obj [ ("e", Json.Arr []); ("f", Json.Obj []) ]);
+      ]
+  in
+  Alcotest.(check string) "compact bytes"
+    ({|{"s":"q\"b\\s\nt\tc\u0001 caf|} ^ "\xc3\xa9"
+    ^ {|","int":42,"neg":-3,"frac":1.25,"third":0.333333333333,"big":1e+15,"tiny":1.5e-07,"ts":1760760000.12,"a":[false,null,true],"o":{"e":[],"f":{}}}|})
+    (Json.to_string j);
+  Alcotest.(check string) "pretty layout"
+    "{\n  \"a\": [1, 2],\n  \"o\": {\n    \"k\": \"v\"\n  },\n  \"l\": [\n    {\n      \"x\": null\n    }\n  ],\n  \"e\": []\n}\n"
+    (Json.pretty
+       (Json.Obj
+          [
+            ("a", Json.Arr [ Json.of_int 1; Json.of_int 2 ]);
+            ("o", Json.Obj [ ("k", Json.Str "v") ]);
+            ("l", Json.Arr [ Json.Obj [ ("x", Json.Null) ] ]);
+            ("e", Json.Arr []);
+          ]))
+
 let () =
   fresh ();
   Alcotest.run "obs"
@@ -454,5 +561,12 @@ let () =
         [
           Alcotest.test_case "ukrgen exit codes" `Quick test_cli_exit_codes;
           Alcotest.test_case "report exit codes" `Quick test_report_exit_codes;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "every writer reparses" `Quick test_writers_reparse;
+          Alcotest.test_case "UTF-8 host_cc and non-finite numbers" `Quick
+            test_utf8_and_non_finite;
+          Alcotest.test_case "compact output fixture" `Quick test_compact_fixture;
         ] );
     ]

@@ -295,6 +295,66 @@ let test_socket_round_trip () =
   Serve.wait t;
   Alcotest.(check bool) "socket unlinked after drain" false (Sys.file_exists socket)
 
+(* a request line past the bound: ERR, counted, connection dropped — and
+   the daemon still answers the next connection *)
+let test_oversized_request_line () =
+  let socket = Filename.temp_file "exo-serve-test" ".sock" in
+  let t = Serve.start ~workers:1 ~warm_kits:[] ~socket () in
+  Fun.protect ~finally:(fun () ->
+      Serve.stop t;
+      Serve.wait t)
+  @@ fun () ->
+  let _, errors0, _ = Serve.request_counts () in
+  let s, payload = Serve.Client.request ~socket (String.make 10_000 'A') in
+  Alcotest.(check string) "oversized line answers ERR" "ERR request line too long" s;
+  Alcotest.(check (list string)) "no payload" [] payload;
+  let _, errors1, _ = Serve.request_counts () in
+  Alcotest.(check int) "counted as an error" (errors0 + 1) errors1;
+  let s, _ = Serve.Client.request ~socket "PING" in
+  Alcotest.(check string) "a new connection still answers" "OK pong" s
+
+(* a client that hangs up before reading its reply: the write fails with
+   EPIPE, which must drop that connection only — the one worker still
+   answers the next client *)
+let test_client_hang_up () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let socket = Filename.temp_file "exo-serve-test" ".sock" in
+  let t = Serve.start ~workers:1 ~warm_kits:[] ~socket () in
+  Fun.protect ~finally:(fun () ->
+      Serve.stop t;
+      Serve.wait t)
+  @@ fun () ->
+  (* raw connections with a receive timeout: a dead worker fails the test
+     instead of hanging it *)
+  let send line =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX socket);
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+    let b = Bytes.of_string (line ^ "\n") in
+    ignore (Unix.write fd b 0 (Bytes.length b));
+    fd
+  in
+  Unix.close (send "TUNE 500 500 500");
+  let fd = send "PING" in
+  let buf = Bytes.create 64 in
+  let n = try Unix.read fd buf 0 64 with Unix.Unix_error _ -> 0 in
+  Unix.close fd;
+  Alcotest.(check string) "the worker survives the hang-up" "OK pong\n.\n"
+    (Bytes.sub_string buf 0 n)
+
+let test_access_log_escapes () =
+  with_access_log @@ fun path ->
+  let verb = "B\"AD\\VERB\001" in
+  ignore (req verb);
+  match read_lines path with
+  | [ l ] -> (
+      match Ledger.Json.parse l with
+      | Ok j ->
+          Alcotest.(check (option string)) "verb round-trips" (Some verb)
+            (Option.bind (Ledger.Json.member "verb" j) Ledger.Json.str)
+      | Error e -> Alcotest.fail (Fmt.str "unparseable access line %S: %s" l e))
+  | _ -> Alcotest.fail "expected exactly one line"
+
 let () =
   Alcotest.run "serve"
     [
@@ -318,10 +378,16 @@ let () =
           Alcotest.test_case "access log lines" `Quick test_access_log_lines;
           Alcotest.test_case "access log rotation" `Quick
             test_access_log_rotation;
+          Alcotest.test_case "access log escapes the verb" `Quick
+            test_access_log_escapes;
         ] );
       ( "socket",
         [
           Alcotest.test_case "round trip, concurrency, graceful drain" `Quick
             test_socket_round_trip;
+          Alcotest.test_case "oversized request line" `Quick
+            test_oversized_request_line;
+          Alcotest.test_case "client hang-up before the reply" `Quick
+            test_client_hang_up;
         ] );
     ]
